@@ -43,6 +43,7 @@ from .geometry import (
     conic_coeffs_transition,
     conic_sym_matrix,
     genericity_check,
+    insert_one,
     meet_plane,
     meet_plane_oracle,
     plane_coords,
@@ -353,7 +354,7 @@ def reduce_instance(instance: Instance, p: int) -> Instance:
         b_red = tuple(red(v) for v in planted.b)
         pt = ChartPoint(chart, a_red, b_red)
         system = SectionSystem(chart, lines)
-        coeffs = insert_one_coeffs(b_red, chart.j, fp.one())
+        coeffs = insert_one(b_red, chart.j, fp.one())
         if det(conic_sym_matrix(coeffs)) == 0:
             raise BadReduction(f"planted conic singular mod {p}")
         if any(v != 0 for v in eval_section(system, pt)):
@@ -366,10 +367,6 @@ def reduce_instance(instance: Instance, p: int) -> Instance:
             "b": [v.value for v in b_red],
         }
     return out
-
-
-def insert_one_coeffs(values, slot: int, one):
-    return tuple(list(values[:slot]) + [one] + list(values[slot:]))
 
 
 def good_reduction_prime(instance: Instance, candidates=(3, 5, 7, 11, 13)) -> int:
@@ -385,25 +382,6 @@ def good_reduction_prime(instance: Instance, candidates=(3, 5, 7, 11, 13)) -> in
 # ---------------------------------------------------------------------------
 # finite-field brute force
 # ---------------------------------------------------------------------------
-
-def _proj_reps(npoints: int, q_elems: list) -> list:
-    """Normalized representatives of P^{npoints-1}: first nonzero slot = 1."""
-    zero, one = q_elems[0], q_elems[1]
-    reps = []
-
-    def tails(k):
-        if k == 0:
-            yield ()
-            return
-        for rest in tails(k - 1):
-            for e in q_elems:
-                yield rest + (e,)
-
-    for lead in range(npoints):
-        for tail in tails(npoints - 1 - lead):
-            reps.append((zero,) * lead + (one,) + tail)
-    return reps
-
 
 @dataclass
 class BruteForceSolution:

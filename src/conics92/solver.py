@@ -25,10 +25,11 @@ import numpy as np
 
 from .errors import CountMismatch, IncompleteSet, SingularStartSystem
 from .fields import REAL, SquareClass, complex_to_json
-from .geometry import PLANE_COORD_INDICES, Chart, conic_coeffs_transition
+from .geometry import PLANE_COORD_INDICES, Chart, conic_coeffs_transition, insert_one
 from .gw import GwForm
 
 _ACTIVE, _REACHED, _DIVERGED, _FAILED = 0, 1, 2, 3
+_STATUS_NAMES = {_REACHED: "converged", _DIVERGED: "diverged", _FAILED: "failed"}
 
 _DT_INIT = 0.05
 _DT_MAX = 0.1
@@ -405,18 +406,36 @@ def _proj_dist(x, y) -> float:
     return float(np.max(np.abs(x / x[s] - y / y[s])))
 
 
-def projective_pair_dist(sol_a: ConicSolution, sol_b: ConicSolution) -> float:
-    """Distance between two solutions as points of the moduli space."""
+def projective_pair_dist(
+    sol_a: ConicSolution, sol_b: ConicSolution, cutoff: float = 10.0
+) -> float:
+    """Distance between two solutions as points of the moduli space.
+
+    Planes farther apart than `cutoff` give the plane distance alone; only
+    closer pairs pay for bringing the conics into one chart.
+    """
     da = _proj_dist(sol_a.abar, sol_b.abar)
-    if not np.isfinite(da) or da > 10.0:
+    if not da <= cutoff:
         return da
     ia = int(np.argmax(np.abs(np.asarray(sol_a.abar))))
-    ib = sol_b.chart[0]
-    if sol_b.abar[ia] == 0:
-        return np.inf
-    cb = conic_coeffs_transition(sol_b.abar, sol_b.cbar, ib, ia)
-    ca = conic_coeffs_transition(sol_a.abar, sol_a.cbar, sol_a.chart[0], ia)
-    return max(da, _proj_dist(np.asarray(ca), np.asarray(cb)))
+    return max(da, _proj_dist(_conic_in_chart(sol_a, ia), _conic_in_chart(sol_b, ia)))
+
+
+def _conic_in_chart(sol: ConicSolution, i: int) -> np.ndarray:
+    if sol.chart[0] == i:
+        return np.asarray(sol.cbar)
+    return np.asarray(conic_coeffs_transition(sol.abar, sol.cbar, sol.chart[0], i))
+
+
+def _tracked_path(start, status, x, res, steps) -> TrackedPath:
+    st = _STATUS_NAMES.get(int(status), "failed")
+    return TrackedPath(
+        start=start,
+        status=st,
+        endpoint=x if st == "converged" else None,
+        residual=float(res),
+        steps=int(steps),
+    )
 
 
 def track(start_point, hsys: HomotopySystem, opts: SolverOptions) -> TrackedPath:
@@ -425,30 +444,19 @@ def track(start_point, hsys: HomotopySystem, opts: SolverOptions) -> TrackedPath
     status, x, res, steps = _track_block(
         hsys.chartsys, hsys.start, starts, hsys.gamma, opts
     )
-    names = {_REACHED: "converged", _DIVERGED: "diverged", _FAILED: "failed"}
-    st = names.get(int(status[0]), "failed")
-    return TrackedPath(
-        start=starts[0],
-        status=st,
-        endpoint=x[0] if st == "converged" else None,
-        residual=float(res[0]),
-        steps=int(steps[0]),
-    )
-
-
-def _insert(vec, slot, one=1.0 + 0.0j):
-    out = list(vec[:slot]) + [one] + list(vec[slot:])
-    return out
+    return _tracked_path(starts[0], status[0], x[0], res[0], steps[0])
 
 
 def _canonical_chart_data(endpoint, chart: tuple, systems: dict, lines, opts):
-    """Re-express an endpoint in its best-conditioned chart and refine there.
+    """Re-express an endpoint in its best-conditioned chart, refine there and
+    return it as a candidate ConicSolution ("real", or "pair" until
+    `_classify` finds its conjugate).
 
     Returns None when the refinement cannot certify the point.
     """
     i, j = chart
-    abar = np.array(_insert(endpoint[:3], i))
-    cbar = np.array(_insert(endpoint[3:], j))
+    abar = np.array(insert_one(endpoint[:3], i, 1.0 + 0j))
+    cbar = np.array(insert_one(endpoint[3:], j, 1.0 + 0j))
     istar = int(np.argmax(np.abs(abar)))
     cstar = np.array(
         conic_coeffs_transition(tuple(abar), tuple(cbar), i, istar)
@@ -495,76 +503,62 @@ def _canonical_chart_data(endpoint, chart: tuple, systems: dict, lines, opts):
                 is_real = False
 
     det = complex(sysrc.det_jacobian(coords.real if is_real else coords, raw=True))
-    full_abar = np.array(_insert(coords[:3], istar))
-    full_cbar = np.array(_insert(coords[3:], jstar))
-    return {
-        "chart": key,
-        "coords": coords,
-        "residual": res,
-        "real": is_real,
-        "det": det,
-        "abar": full_abar,
-        "cbar": full_cbar,
-    }
+    abar = np.array(insert_one(coords[:3], istar, 1.0 + 0j))
+    cbar = np.array(insert_one(coords[3:], jstar, 1.0 + 0j))
+    if is_real:
+        coords, abar, cbar, det = coords.real, abar.real, cbar.real, complex(det.real)
+    return ConicSolution(
+        chart=key,
+        a=tuple(coords[:3]),
+        b=tuple(coords[3:]),
+        det_jac=det,
+        reality="real" if is_real else "pair",
+        sign=(1 if det.real > 0 else -1) if is_real else None,
+        residual=res,
+        abar=tuple(abar),
+        cbar=tuple(cbar),
+    )
 
 
-def _dedup_endpoints(endpoints, chart, tol):
-    """Drop projective duplicates among raw tracking-chart endpoints."""
-    i, j = chart
-    unique = []
-    for x in endpoints:
-        abar = np.array(_insert(x[:3], i))
-        cbar = np.array(_insert(x[3:], j))
-        dup = False
-        for ua, uc in unique:
-            if _proj_dist(ua, abar) < tol and _proj_dist(uc, cbar) < tol:
-                dup = True
-                break
-        if not dup:
-            unique.append((abar, cbar))
+def _distinct_zeros(pool, tol: float) -> list:
+    """The first candidate of each zero, in pool order: the one same-zero
+    test for every endpoint, whatever chart or retry it came from."""
     out = []
-    for abar, cbar in unique:
-        a = abar / abar[i]
-        c = cbar / cbar[j]
-        out.append(
-            np.concatenate(
-                [np.delete(a, i), np.delete(c, j)]
-            )
-        )
+    for c in pool:
+        if not any(projective_pair_dist(u, c, cutoff=tol) < tol for u in out):
+            out.append(c)
     return out
 
 
 def _classify(cands, opts):
-    """Split canonical candidates into real solutions and conjugate pairs."""
-    reals = [c for c in cands if c["real"]]
-    nonreal = [c for c in cands if not c["real"]]
+    """Split distinct candidates into real zeros, one representative per
+    conjugate pair, and the non-real candidates left without a conjugate."""
+    reals = [c for c in cands if c.reality == "real"]
+    nonreal = [c for c in cands if c.reality != "real"]
+    tol = opts.real_tol * 10
     used = [False] * len(nonreal)
-    pairs = []
+    pairs, leftovers = [], []
     for idx, cand in enumerate(nonreal):
         if used[idx]:
             continue
-        partner = None
-        for k in range(idx + 1, len(nonreal)):
-            if used[k]:
-                continue
-            other = nonreal[k]
-            if (
-                _proj_dist(np.conj(cand["abar"]), other["abar"]) < opts.real_tol * 10
-                and _proj_dist(np.conj(cand["cbar"]), other["cbar"])
-                < opts.real_tol * 10
-            ):
-                partner = k
-                break
+        partner = next(
+            (
+                k
+                for k in range(idx + 1, len(nonreal))
+                if not used[k]
+                and _proj_dist(np.conj(cand.abar), nonreal[k].abar) < tol
+                and _proj_dist(np.conj(cand.cbar), nonreal[k].cbar) < tol
+            ),
+            None,
+        )
         if partner is None:
-            return reals, pairs, [cand]
+            leftovers.append(cand)
+            continue
         used[idx] = used[partner] = True
-        rep, other = cand, nonreal[partner]
         # deterministic representative: leading imaginary part positive
-        lead = next((v for v in rep["coords"].imag if abs(v) > opts.real_tol), 0.0)
-        if lead < 0:
-            rep = other
-        pairs.append(rep)
-    return reals, pairs, []
+        lead = next((v for v in np.imag(cand.a + cand.b) if abs(v) > opts.real_tol), 0.0)
+        pairs.append(cand if lead >= 0 else nonreal[partner])
+    return reals, pairs, leftovers
 
 
 def _round_key(values, digits=9):
@@ -578,9 +572,12 @@ def _round_key(values, digits=9):
 def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
     """Track all start paths, refine, deduplicate and classify endpoints.
 
-    Raises CountMismatch if, after gamma retries and fallback charts, the
-    number of zeros (counted with conjugates) differs from the expected
-    count.
+    Every converged endpoint, from chart (0,0), a gamma retry or a fallback
+    chart, is canonicalized once into one pool, which `_distinct_zeros`
+    deduplicates in one pass before `_classify`.  Raises CountMismatch if,
+    after gamma retries and fallback charts, the number of zeros (counted
+    with conjugates) differs from the expected count, or if a non-real
+    zero is left without its conjugate.
     """
     opts = opts or SolverOptions()
     t0 = time.time()
@@ -601,18 +598,28 @@ def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
     )
 
     systems: dict = {}
+    found: dict = {}  # path index -> canonical candidate, made once per endpoint
+    fallback_pool: list = []
 
-    def rebuild():
-        converged = [x[k] for k in range(n_paths) if status[k] == _REACHED]
-        return _build_solutions(converged, tuple(opts.chart), systems, lines, opts)
+    def classify_pool():
+        for k in np.flatnonzero(status == _REACHED):
+            if int(k) not in found:
+                found[int(k)] = _canonical_chart_data(
+                    x[k], tuple(opts.chart), systems, lines, opts
+                )
+        pool = [c for _, c in sorted(found.items()) if c is not None]
+        reals, pairs, leftovers = _classify(
+            _distinct_zeros(pool + fallback_pool, opts.tol_dedup), opts
+        )
+        return reals + pairs, leftovers, len(reals) + 2 * len(pairs)
 
-    solutions, leftovers = rebuild()
+    solutions, leftovers, count = classify_pool()
 
     # paths lost to step underflow are retried with a perturbed gamma, but
     # only while solutions are actually missing (excess paths stall too)
     retracked = 0
     for attempt in range(1, opts.gamma_retries + 1):
-        if opts.expected_count is None or _total(solutions) >= opts.expected_count:
+        if opts.expected_count is None or count >= opts.expected_count:
             break
         failed = np.flatnonzero(status == _FAILED)
         if failed.size == 0:
@@ -627,25 +634,16 @@ def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
         res[failed] = res2
         steps[failed] += steps2
         retracked += failed.size
-        solutions, leftovers = rebuild()
+        solutions, leftovers, count = classify_pool()
 
-    paths = []
-    for k in range(n_paths):
-        names = {_REACHED: "converged", _DIVERGED: "diverged", _FAILED: "failed"}
-        st = names.get(int(status[k]), "failed")
-        paths.append(
-            TrackedPath(
-                start=starts[k],
-                status=st,
-                endpoint=x[k] if st == "converged" else None,
-                residual=float(res[k]),
-                steps=int(steps[k]),
-            )
-        )
+    paths = [
+        _tracked_path(starts[k], status[k], x[k], res[k], steps[k])
+        for k in range(n_paths)
+    ]
 
     # fallback charts if the count is off (solutions at chart infinity)
     used_fallbacks = []
-    if opts.expected_count is not None and _total(solutions) != opts.expected_count:
+    if opts.expected_count is not None and count != opts.expected_count:
         for fb in opts.fallback_charts:
             used_fallbacks.append(fb)
             fb_opts = replace(opts, chart=tuple(fb))
@@ -654,10 +652,12 @@ def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
             st2, x2, _, _ = _track_parallel(
                 hsys2.chartsys, hsys2.start, starts2, hsys2.gamma, fb_opts
             )
-            conv2 = [x2[k] for k in range(starts2.shape[0]) if st2[k] == _REACHED]
-            sols2, _ = _build_solutions(conv2, tuple(fb), systems, lines, fb_opts)
-            solutions = _merge_solution_lists(solutions, sols2, opts.tol_dedup)
-            if _total(solutions) == opts.expected_count:
+            for k in np.flatnonzero(st2 == _REACHED):
+                cand = _canonical_chart_data(x2[k], tuple(fb), systems, lines, opts)
+                if cand is not None:
+                    fallback_pool.append(cand)
+            solutions, leftovers, count = classify_pool()
+            if count == opts.expected_count:
                 break
 
     solutions.sort(key=lambda s: (s.chart, _round_key(list(s.a) + list(s.b))))
@@ -680,13 +680,13 @@ def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
         raise CountMismatch(
             f"found {sset.count} zeros (expected {opts.expected_count}); stats={stats}"
         )
+    if leftovers:
+        raise CountMismatch(
+            f"{len(leftovers)} non-real zeros without a conjugate; stats={stats}"
+        )
     if any(abs(s.det_jac) <= opts.det_floor for s in solutions):
         raise CountMismatch("a zero with vanishing Jacobian determinant was found")
     return sset
-
-
-def _total(solutions) -> int:
-    return sum(1 if s.reality == "real" else 2 for s in solutions)
 
 
 def _track_parallel(chartsys, start, starts, gamma, opts: SolverOptions):
@@ -716,90 +716,6 @@ def _track_parallel(chartsys, start, starts, gamma, opts: SolverOptions):
             res[lo:hi] = rr
             steps[lo:hi] = ss
     return status, x, res, steps
-
-
-def _build_solutions(converged, chart, systems, lines, opts):
-    """Dedup raw endpoints, canonicalize charts, classify reality."""
-    dedup = _dedup_endpoints(converged, chart, opts.tol_dedup)
-    cands = []
-    for end in dedup:
-        data = _canonical_chart_data(end, chart, systems, lines, opts)
-        if data is not None:
-            cands.append(data)
-    # canonicalization can merge near-duplicates; dedup once more on reps
-    cands = _dedup_candidates(cands, opts.tol_dedup)
-    reals, pairs, leftovers = _classify(cands, opts)
-    solutions = []
-    for c in reals:
-        det = c["det"]
-        sign = 1 if det.real > 0 else -1
-        solutions.append(
-            ConicSolution(
-                chart=c["chart"],
-                a=tuple(c["coords"][:3].real),
-                b=tuple(c["coords"][3:].real),
-                det_jac=complex(det.real),
-                reality="real",
-                sign=sign,
-                residual=c["residual"],
-                abar=tuple(c["abar"].real),
-                cbar=tuple(c["cbar"].real),
-            )
-        )
-    for c in pairs:
-        solutions.append(
-            ConicSolution(
-                chart=c["chart"],
-                a=tuple(c["coords"][:3]),
-                b=tuple(c["coords"][3:]),
-                det_jac=c["det"],
-                reality="pair",
-                sign=None,
-                residual=c["residual"],
-                abar=tuple(c["abar"]),
-                cbar=tuple(c["cbar"]),
-            )
-        )
-    return solutions, leftovers
-
-
-def _dedup_candidates(cands, tol):
-    out = []
-    for c in cands:
-        dup = False
-        for u in out:
-            if (
-                _proj_dist(u["abar"], c["abar"]) < tol
-                and u["chart"][0] == c["chart"][0]
-                and _proj_dist(u["cbar"], c["cbar"]) < tol
-            ):
-                dup = True
-                break
-            # different canonical charts: compare through a transition
-            if u["chart"][0] != c["chart"][0]:
-                try:
-                    cb = conic_coeffs_transition(
-                        tuple(c["abar"]), tuple(c["cbar"]), c["chart"][0], u["chart"][0]
-                    )
-                except Exception:
-                    continue
-                if (
-                    _proj_dist(u["abar"], c["abar"]) < tol
-                    and _proj_dist(np.asarray(u["cbar"]), np.asarray(cb)) < tol
-                ):
-                    dup = True
-                    break
-        if not dup:
-            out.append(c)
-    return out
-
-
-def _merge_solution_lists(base, extra, tol):
-    out = list(base)
-    for s in extra:
-        if all(projective_pair_dist(u, s) >= tol for u in out):
-            out.append(s)
-    return out
 
 
 def assemble_enriched_count(sset: SolutionSet) -> GwForm:

@@ -3,13 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from conics92.errors import IncompleteSet
+from conics92 import solver
+from conics92.errors import CountMismatch, IncompleteSet
+from conics92.geometry import conic_coeffs_transition
 from conics92.gw import EQUAL, GwForm, gw_equal, invariants
 from conics92.solver import (
+    ConicSolution,
     SolverOptions,
+    _classify,
+    _distinct_zeros,
     assemble_enriched_count,
     make_homotopy,
     solve_all,
+    projective_pair_dist,
     start_solutions,
     track,
 )
@@ -146,3 +152,100 @@ def test_solutions_json_schema(solutions):
     assert len(entry["a"]) == 3 and len(entry["b"]) == 5
     assert all(len(v) == 2 for v in entry["a"])  # [re, im] pairs
     assert entry["reality"] in ("real", "pair")
+
+
+def _candidate(abar, cbar, i, j, reality):
+    """A canonical candidate in chart (i, j) from a plane and its conic's
+    coefficients in the chart-i plane coordinates."""
+    abar = np.asarray(abar, dtype=complex) / abar[i]
+    cbar = np.asarray(cbar, dtype=complex) / cbar[j]
+    coords = np.concatenate([np.delete(abar, i), np.delete(cbar, j)])
+    return ConicSolution(
+        chart=(i, j),
+        a=tuple(coords[:3]),
+        b=tuple(coords[3:]),
+        det_jac=1.0 + 0j,
+        reality=reality,
+        sign=1 if reality == "real" else None,
+        residual=0.0,
+        abar=tuple(abar),
+        cbar=tuple(cbar),
+    )
+
+
+def _conj(c: ConicSolution) -> ConicSolution:
+    return _candidate(np.conj(c.abar), np.conj(c.cbar), *c.chart, c.reality)
+
+
+def test_same_zero_in_two_canonical_charts_merges():
+    # |a0| = |a1| is a tie for the largest plane coordinate, so two endpoints
+    # of one zero can canonicalize into chart 0 and chart 1
+    abar = np.array([1.0, -1.0, 0.5, 0.25])
+    cbar0 = np.array([1.0, 0.7, -0.4, 0.3, 0.2, -0.9])
+    cbar1 = np.array(conic_coeffs_transition(tuple(abar), tuple(cbar0), 0, 1))
+    u = _candidate(abar, cbar0, 0, 0, "real")
+    v = _candidate(abar * (1 + 1e-13), cbar1, 1, int(np.argmax(np.abs(cbar1))), "real")
+    assert v.chart[0] == 1
+    assert solver._proj_dist(u.cbar, v.cbar) > 1e-3  # only the transition matches them
+    assert projective_pair_dist(u, v) < 1e-9
+    assert _distinct_zeros([u, v], 1e-6) == [u]
+    assert _distinct_zeros([v, u], 1e-6) == [v]
+
+
+def test_close_real_zeros_stay_distinct():
+    # 5.1e-5 is the gap between the two closest zeros of seed 46
+    gap = 5.1e-5
+    abar = np.array([1.0, 0.3, -0.2, 0.6])
+    cbar = np.array([1.0, 0.7, -0.4, 0.3, 0.2, -0.9])
+    u = _candidate(abar, cbar, 0, 0, "real")
+    moved_plane = _candidate(abar + [0, gap, 0, 0], cbar, 0, 0, "real")
+    moved_conic = _candidate(abar, cbar + [0, 0, gap, 0, 0, 0], 0, 0, "real")
+    assert _distinct_zeros([u, moved_plane, moved_conic], 1e-6) == [
+        u,
+        moved_plane,
+        moved_conic,
+    ]
+
+
+def test_classify_pairs_every_candidate_after_an_unpaired_one():
+    real = _candidate([1.0, 0.3, -0.2, 0.6], [1.0, 0.7, -0.4, 0.3, 0.2, -0.9], 0, 0, "real")
+    lonely = _candidate(
+        [1.0, 0.2 + 0.5j, 0.1, -0.3], [1.0, 0.4, 0.2j, 0.1, -0.2, 0.3], 0, 0, "pair"
+    )
+    z = _candidate(
+        [1.0, -0.4 - 0.3j, 0.6, 0.2], [1.0, 0.5, -0.3, 0.1j, 0.2, 0.4], 0, 0, "pair"
+    )
+    reals, pairs, leftovers = _classify([real, lonely, z, _conj(z)], SolverOptions())
+    assert reals == [real]
+    assert leftovers == [lonely]
+    assert len(pairs) == 1
+    assert pairs[0].abar == _conj(z).abar  # leading imaginary part positive
+
+
+def test_unpaired_zero_raises(instances, monkeypatch):
+    canonical = solver._canonical_chart_data
+    dropped = []
+
+    def drop_first_nonreal(*args):
+        cand = canonical(*args)
+        if cand is not None and cand.reality == "pair" and not dropped:
+            dropped.append(cand)
+            return None
+        return cand
+
+    monkeypatch.setattr(solver, "_canonical_chart_data", drop_first_nonreal)
+    opts = SolverOptions(seed=42, expected_count=None)
+    with pytest.raises(CountMismatch, match="1 non-real zeros without a conjugate"):
+        solve_all(instances[42].lines, opts)
+    assert dropped
+
+
+def test_fallback_chart_merges_without_double_counting(instances):
+    # seed 42 has 92 zeros; asking for 93 forces fallback chart (1, 2), whose
+    # own 92 zeros must merge into the pool of chart (0, 0) one for one
+    opts = SolverOptions(
+        seed=42, expected_count=93, gamma_retries=0, fallback_charts=((1, 2),)
+    )
+    with pytest.raises(CountMismatch, match="found 92 zeros") as err:
+        solve_all(instances[42].lines, opts)
+    assert "'fallback_charts': [(1, 2)]" in str(err.value)
