@@ -68,15 +68,13 @@ from .section import (
 )
 from .solver import (
     ConicSolution,
-    HomotopySystem,
+    ParameterHomotopy,
     SolutionSet,
     SolverOptions,
     TrackedPath,
     assemble_enriched_count,
-    make_homotopy,
     solve_all,
     start_solutions,
-    track,
 )
 
 __version__ = "0.1.0"

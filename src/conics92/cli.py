@@ -87,7 +87,6 @@ def _solver_options(args) -> SolverOptions:
         tol_residual=args.tol_residual,
         tol_dedup=args.tol_dedup,
         max_steps=args.max_steps,
-        total_degree=args.total_degree,
         threads=args.threads,
     )
 
@@ -131,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-residual", type=float, default=1e-12)
         p.add_argument("--tol-dedup", type=float, default=1e-6)
         p.add_argument("--max-steps", type=int, default=5000)
-        p.add_argument("--total-degree", action="store_true")
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out")
 

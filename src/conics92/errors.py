@@ -59,14 +59,6 @@ class ConePoint(Conics92Error):
 
 # -- solver ---------------------------------------------------------------------
 
-class SingularStartSystem(Conics92Error):
-    """The random start system degenerated; re-randomize the covectors."""
-
-
-class StepUnderflow(Conics92Error):
-    """Adaptive step size fell below its floor while tracking a path."""
-
-
 class CountMismatch(Conics92Error):
     """The solver did not find the expected number of solutions."""
 

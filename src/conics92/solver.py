@@ -1,29 +1,41 @@
 """Homotopy continuation over C for the chart systems.
 
-The start system multiplies two affine-linear forms in the plane block by
-one affine-linear form in the conic block per equation, matching the
-(2,1) block degrees, so C(8,3)*2^3 = 448 start paths cover all isolated
-zeros.  Tracking is a 4th-order predictor with a Newton corrector and an
-adaptive step, batched across paths with numpy; endpoints are refined,
+`solve_all` tracks the 92 zeros of one fixed base instance to the caller's
+lines along a single parameter homotopy (Morgan & Sommese 1989): every line
+moves as p(t) = (1-t) p1 + t gamma p0 and s(t) = (1-t) s1 + t s0, from the
+base lines (p0, s0) at t=1 to the target lines (p1, s1) at t=0, each row at
+unit norm; the random complex gamma keeps the path off the discriminant.
+The base and its zeros are the committed fixture `base92.json`, which
+`scripts/make_base92.py` builds by monodromy from one planted zero (Duff et
+al. 2019).  While fewer zeros than expected are found, monodromy loops at
+the target (target -> random complex lines -> target, a fresh gamma per
+leg) recover the lost paths.
+
+Tracking is a 4th-order predictor with a Newton corrector and an adaptive
+step, batched across paths with numpy.  Paths start in the requested chart,
+and a point whose coordinates pass _CHART_NORM moves to its best chart, so
+no path runs off to a chart's infinity.  Endpoints are refined,
 deduplicated projectively, classified real / conjugate-pair, and reported
 in the best-conditioned chart per solution.
 
-Conventions: the tracked residual is measured with line representatives
-rescaled to unit max-norm (scale-free); the reported Jacobian determinant
-is evaluated against the caller's own line representatives, so its square
+Conventions: endpoint residuals are measured with line representatives
+rescaled to unit norm (scale-free); the reported Jacobian determinant is
+evaluated against the caller's own line representatives, so its square
 class and sign are the ones the input data defines.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from itertools import combinations, product
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import CountMismatch, IncompleteSet, SingularStartSystem
+from .errors import CountMismatch, IncompleteSet
 from .fields import REAL, SquareClass, complex_to_json
 from .geometry import PLANE_COORD_INDICES, Chart, conic_coeffs_transition, insert_one
 from .gw import GwForm
@@ -36,8 +48,13 @@ _DT_MAX = 0.1
 _DT_MIN = 1e-7
 _GROW_AFTER = 3
 _DIVERGE_NORM = 1e8
+_CHART_NORM = 10.0
 _CORRECTOR_ITERS = 3
 _REFINE_ITERS = 50
+# monodromy loops solve_all runs before it reports a count mismatch; with 4
+# of the 92 zeros dropped, one or two loops found them again (seeds 42, 44
+# and 46, three draws each)
+_LOOP_BUDGET = 8
 
 
 @dataclass(frozen=True)
@@ -48,12 +65,70 @@ class SolverOptions:
     tol_dedup: float = 1e-6
     real_tol: float = 1e-8
     max_steps: int = 5000
-    total_degree: bool = False
     threads: int = 1
     det_floor: float = 1e-8
     expected_count: int | None = 92
-    gamma_retries: int = 3
-    fallback_charts: tuple = ((1, 1), (2, 2), (3, 3))
+
+
+def chart_tensor(i: int, p, s) -> np.ndarray:
+    """The (8, 3, 4) tensor of the lines spanned by the rows of p and s
+    (8, 4) in plane chart i: up to sign, z[n] @ (1, a) is the point where
+    line n meets the plane a, in the chart-i plane coordinates.  Bilinear
+    in (p, s)."""
+    keep = PLANE_COORD_INDICES[i]
+    m = p[:, None, :] * s[:, :, None] - p[:, :, None] * s[:, None, :]
+    return np.ascontiguousarray(m[:, keep][:, :, (i,) + keep])
+
+
+def _line_arrays(lines) -> np.ndarray:
+    """The two points spanning each line as float rows, (2, 8, 4)."""
+    return np.array([[ln.p for ln in lines], [ln.s for ln in lines]], dtype=float)
+
+
+def _unit_rows(lines: np.ndarray) -> np.ndarray:
+    return lines / np.linalg.norm(lines, axis=-1, keepdims=True)
+
+
+def _plane_and_conic(x, j):
+    """The plane vectors (1, a) (N, 4), the conic coefficients (N, 6) and
+    the mask of their free slots (N, 6) of chart points x (N, 8), whose
+    conic chart j is one for all points or one per point (N,)."""
+    n = x.shape[0]
+    free = np.broadcast_to(np.arange(6) != np.reshape(j, (-1, 1)), (n, 6))
+    c = np.ones((n, 6), dtype=x.dtype)
+    c[free] = x[:, 3:].ravel()
+    return np.concatenate([np.ones((n, 1), dtype=x.dtype), x[:, :3]], axis=1), c, free
+
+
+def _jacobian(ja, mon, free):
+    """The chart Jacobian (N, 8, 8): the plane columns ja, then the conic
+    monomials of the free slots."""
+    jb = mon[np.broadcast_to(free[:, None, :], mon.shape)].reshape(mon.shape[0], 8, 5)
+    return np.concatenate([ja, jb], axis=2)
+
+
+def _section(z, c, grad: bool = False):
+    """The monomial kernel of every float section evaluation.
+
+    For the points z (N, 8, 3) where the lines meet the plane and conic
+    coefficients c (N, 6): the values sum_k c_k mon_k(z) (N, 8), the
+    monomials (N, 8, 6) and, with `grad`, the gradient in z (N, 8, 3).
+    """
+    z0, z1, z2 = z[..., 0], z[..., 1], z[..., 2]
+    mon = np.stack([z0 * z0, z1 * z1, z2 * z2, z1 * z2, z0 * z2, z0 * z1], axis=-1)
+    values = np.einsum("Nnk,Nk->Nn", mon, c)
+    if not grad:
+        return values, mon, None
+    c = c[:, None, :]
+    g0 = 2 * c[..., 0] * z0 + c[..., 4] * z2 + c[..., 5] * z1
+    g1 = 2 * c[..., 1] * z1 + c[..., 3] * z2 + c[..., 5] * z0
+    g2 = 2 * c[..., 2] * z2 + c[..., 3] * z1 + c[..., 4] * z0
+    return values, mon, np.stack([g0, g1, g2], axis=-1)
+
+
+def _scale_bound(z, c) -> np.ndarray:
+    """L1 bound on the section's components; backward-error yardstick."""
+    return np.max(_section(np.abs(z), np.abs(c))[0], axis=1)
 
 
 class NumericChartSystem:
@@ -61,45 +136,25 @@ class NumericChartSystem:
 
     def __init__(self, chart: Chart, lines):
         self.chart = chart
-        keep = PLANE_COORD_INDICES[chart.i]
-        cols = (chart.i,) + keep
-        z = np.empty((8, 3, 4))
-        for n, line in enumerate(lines):
-            p = [float(v) for v in line.p]
-            s = [float(v) for v in line.s]
-            m = [[p[l] * s[r] - p[r] * s[l] for l in range(4)] for r in range(4)]
-            z[n] = [[m[r][c] for c in cols] for r in keep]
-        self.z_raw = z
-        self.scales = np.max(np.abs(z), axis=(1, 2))
-        self.z_norm = z / self.scales[:, None, None]
-        j = chart.j
-        sel = np.zeros((6, 5))
-        for k in range(6):
-            if k != j:
-                sel[k, k if k < j else k - 1] = 1.0
-        self.coeff_sel = sel
-        self.coeff_base = np.eye(6)[j]
+        self.z_raw = chart_tensor(chart.i, *_line_arrays(lines))
+
+    @cached_property
+    def z_norm(self) -> np.ndarray:
+        """The chart tensor with each line's block scaled to unit max-norm."""
+        return self.z_raw / np.max(np.abs(self.z_raw), axis=(1, 2))[:, None, None]
+
+    def _points(self, x, zm):
+        abar, c, free = _plane_and_conic(x, self.chart.j)
+        return np.einsum("nrc,Nc->Nnr", zm, abar), c, free
 
     def eval(self, x, jac: bool = False, raw: bool = False):
         """Section values (N,8) and optionally the Jacobian (N,8 eq,8 var)."""
-        x = np.asarray(x)
         zm = self.z_raw if raw else self.z_norm
-        ones = np.ones(x.shape[:-1] + (1,), dtype=x.dtype)
-        abar = np.concatenate([ones, x[..., :3]], axis=-1)
-        c = x[..., 3:] @ self.coeff_sel.T + self.coeff_base
-        z = np.einsum("nrc,Nc->Nnr", zm, abar)
-        z0, z1, z2 = z[..., 0], z[..., 1], z[..., 2]
-        mon = np.stack([z0 * z0, z1 * z1, z2 * z2, z1 * z2, z0 * z2, z0 * z1], axis=-1)
-        phi = np.einsum("Nnk,Nk->Nn", mon, c)
+        z, c, free = self._points(np.asarray(x), zm)
+        phi, mon, grad = _section(z, c, jac)
         if not jac:
             return phi, None
-        g0 = 2 * c[:, None, 0] * z0 + c[:, None, 4] * z2 + c[:, None, 5] * z1
-        g1 = 2 * c[:, None, 1] * z1 + c[:, None, 3] * z2 + c[:, None, 5] * z0
-        g2 = 2 * c[:, None, 2] * z2 + c[:, None, 3] * z1 + c[:, None, 4] * z0
-        grad = np.stack([g0, g1, g2], axis=-1)
-        ja = np.einsum("Nnr,nrl->Nnl", grad, zm[:, :, 1:4])
-        jb = np.einsum("Nnk,kl->Nnl", mon, self.coeff_sel)
-        return phi, np.concatenate([ja, jb], axis=2)
+        return phi, _jacobian(np.einsum("Nnr,nrl->Nnl", grad, zm[:, :, 1:4]), mon, free)
 
     def residual(self, x, raw: bool = False) -> np.ndarray:
         phi, _ = self.eval(np.atleast_2d(x), raw=raw)
@@ -107,15 +162,8 @@ class NumericChartSystem:
 
     def scale_bound(self, x) -> np.ndarray:
         """L1 bound on the section's components; backward-error yardstick."""
-        x = np.atleast_2d(x)
-        zm = self.z_norm
-        ones = np.ones((x.shape[0], 1), dtype=x.dtype)
-        abar = np.concatenate([ones, x[:, :3]], axis=1)
-        c = x[:, 3:] @ self.coeff_sel.T + self.coeff_base
-        z = np.einsum("nrc,Nc->Nnr", zm, abar)
-        z0, z1, z2 = np.abs(z[..., 0]), np.abs(z[..., 1]), np.abs(z[..., 2])
-        mon = np.stack([z0 * z0, z1 * z1, z2 * z2, z1 * z2, z0 * z2, z0 * z1], axis=-1)
-        return np.max(np.einsum("Nnk,Nk->Nn", mon, np.abs(c)), axis=1)
+        z, c, _ = self._points(np.atleast_2d(x), self.z_norm)
+        return _scale_bound(z, c)
 
     def det_jacobian(self, x, raw: bool = True):
         """Jacobian determinant with the chart orientation sign (matching
@@ -125,90 +173,46 @@ class NumericChartSystem:
         return sign * np.linalg.det(jmat)[0]
 
 
-class ProductStart:
-    """(u.a)(v.a)(w.b) per equation, with unit random complex covectors."""
+class ParameterHomotopy:
+    """The section of lines moving from `start` at t=1 to `end` at t=0.
 
-    paths = 448
+    `start` = (p0, s0) and `end` = (p1, s1) are unit-norm rows (2, 8, 4);
+    p(t) = (1-t) p1 + t gamma p0 and s(t) = (1-t) s1 + t s0.  The chart
+    tensor is then quadratic in t, z(t) = Z0 + t Z1 + t^2 Z2, which gives
+    H_t exactly.  The tensors are kept for every plane chart, so each point
+    is evaluated in its own chart (i, j).
+    """
 
-    def __init__(self, rng: np.random.Generator):
-        def draw(shape):
-            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            return m / np.linalg.norm(m, axis=1, keepdims=True)
+    def __init__(self, start, end, gamma: complex):
+        (p0, s0), (p1, s1) = start, end
 
-        self.u = draw((8, 4))
-        self.v = draw((8, 4))
-        self.w = draw((8, 6))
+        def tensor(p, s):
+            return np.stack([chart_tensor(i, p, s) for i in range(4)])
 
-    def solutions(self) -> np.ndarray:
-        sols = np.empty((448, 8), dtype=complex)
-        k = 0
-        for subset in combinations(range(8), 3):
-            comp = [n for n in range(8) if n not in subset]
-            try:
-                b = np.linalg.solve(self.w[comp][:, 1:], -self.w[comp][:, 0])
-            except np.linalg.LinAlgError as exc:
-                raise SingularStartSystem("conic block degenerated") from exc
-            for choice in product((0, 1), repeat=3):
-                rows = np.array(
-                    [(self.u, self.v)[c][n] for n, c in zip(subset, choice)]
-                )
-                try:
-                    a = np.linalg.solve(rows[:, 1:], -rows[:, 0])
-                except np.linalg.LinAlgError as exc:
-                    raise SingularStartSystem("plane block degenerated") from exc
-                sols[k, :3] = a
-                sols[k, 3:] = b
-                k += 1
-        return sols
+        z0 = tensor(p1, s1)
+        mixed = gamma * tensor(p0, s1) + tensor(p1, s0)
+        self.coef = (z0, mixed - 2 * z0, z0 - mixed + gamma * tensor(p0, s0))
 
-    def eval(self, x):
-        n = x.shape[0]
-        ones = np.ones((n, 1), dtype=x.dtype)
-        abar = np.concatenate([ones, x[:, :3]], axis=1)
-        bbar = np.concatenate([ones, x[:, 3:]], axis=1)
-        lu = abar @ self.u.T
-        lv = abar @ self.v.T
-        lw = bbar @ self.w.T
-        g = lu * lv * lw
-        da = self.u[None, :, 1:4] * (lv * lw)[:, :, None] + self.v[None, :, 1:4] * (
-            lu * lw
-        )[:, :, None]
-        db = self.w[None, :, 1:6] * (lu * lv)[:, :, None]
-        return g, np.concatenate([da, db], axis=2)
+    def _points(self, x, t, charts):
+        z0, z1, z2 = (z[charts[:, 0]] for z in self.coef)
+        tt = t[:, None, None, None]
+        zt = z0 + tt * (z1 + tt * z2)
+        abar, c, free = _plane_and_conic(x, charts[:, 1])
+        return zt, z1 + 2 * tt * z2, abar, c, free
 
+    def eval(self, x, t, charts):
+        """H (N,8), H_x (N,8,8) and H_t (N,8) at points x (N,8) and times t
+        (N,), each point in its chart charts[k] = (i, j)."""
+        zt, dzt, abar, c, free = self._points(x, t, charts)
+        h, mon, grad = _section(np.einsum("Nnrc,Nc->Nnr", zt, abar), c, grad=True)
+        ja = np.einsum("Nnr,Nnrl->Nnl", grad, zt[..., 1:4])
+        ht = np.einsum("Nnr,Nnrc,Nc->Nn", grad, dzt, abar)
+        return h, _jacobian(ja, mon, free), ht
 
-class TotalDegreeStart:
-    """x_n^3 - c_n fallback; 3^8 = 6561 paths."""
-
-    paths = 6561
-
-    def __init__(self, rng: np.random.Generator):
-        self.c = np.exp(2j * np.pi * rng.random(8))
-
-    def solutions(self) -> np.ndarray:
-        roots = [
-            self.c[n] ** (1 / 3) * np.exp(2j * np.pi * np.arange(3) / 3)
-            for n in range(8)
-        ]
-        grids = np.meshgrid(*roots, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-    def eval(self, x):
-        g = x**3 - self.c[None, :]
-        jac = np.zeros(x.shape[:1] + (8, 8), dtype=x.dtype)
-        idx = np.arange(8)
-        jac[:, idx, idx] = 3 * x**2
-        return g, jac
-
-
-@dataclass
-class HomotopySystem:
-    """gamma*t*start + (1-t)*target, with the start system's own solutions."""
-
-    chartsys: NumericChartSystem
-    start: object
-    gamma: complex
-    seed: int
+    def scale_bound(self, x, charts) -> np.ndarray:
+        """The end lines' scale bound (t=0) at points x, each in its chart."""
+        zt, _, abar, c, _ = self._points(x, np.zeros(len(x)), charts)
+        return _scale_bound(np.einsum("Nnrc,Nc->Nnr", zt, abar), c)
 
 
 @dataclass
@@ -216,6 +220,7 @@ class TrackedPath:
     start: np.ndarray
     status: str
     endpoint: np.ndarray | None
+    chart: tuple  # the endpoint's chart
     residual: float
     steps: int
 
@@ -270,23 +275,36 @@ class SolutionSet:
         }
 
 
-def make_homotopy(lines, opts: SolverOptions, seed_offset: int = 0) -> HomotopySystem:
-    rng = np.random.default_rng([opts.seed, 0x5EED, seed_offset])
-    chart = Chart(*opts.chart)
-    chartsys = NumericChartSystem(chart, lines)
-    start = TotalDegreeStart(rng) if opts.total_degree else ProductStart(rng)
-    gamma = complex(np.exp(2j * np.pi * rng.random()))
-    return HomotopySystem(chartsys, start, gamma, opts.seed)
+@cache
+def base_instance():
+    """The base lines as unit-norm rows (2, 8, 4) and their 92 zeros in
+    chart (0, 0), read from `base92.json` once per process."""
+    with open(os.path.join(os.path.dirname(__file__), "base92.json")) as fh:
+        data = json.load(fh)
+    lines = _unit_rows(np.array([[ln[k] for ln in data["lines"]] for k in "ps"], dtype=float))
+    zeros = np.array(data["zeros"]) @ [1, 1j]  # from [re, im] pairs
+    for arr in (lines, zeros):
+        arr.setflags(write=False)
+    return lines, zeros
 
 
-def start_solutions(hsys: HomotopySystem) -> np.ndarray:
-    """All start-system zeros, verified to satisfy it to 1e-12."""
-    sols = hsys.start.solutions()
-    g, _ = hsys.start.eval(sols)
-    res = np.max(np.abs(g), axis=1)
-    if not np.all(res < 1e-12):
-        raise SingularStartSystem(f"start residual {res.max():.2e}")
-    return sols
+def _to_chart(x, chart: tuple, to: tuple | None = None) -> tuple:
+    """The point x (8,) of `chart` in chart `to`: the chart and the
+    coordinates there.  By default `to` is the point's best chart, where its
+    largest plane and conic coefficients are 1."""
+    one = 1.0 + 0j
+    abar = np.array(insert_one(x[:3], chart[0], one))
+    i = int(np.argmax(np.abs(abar))) if to is None else to[0]
+    cbar = insert_one(x[3:], chart[1], one)
+    c = np.array(conic_coeffs_transition(tuple(abar), cbar, chart[0], i))
+    j = int(np.argmax(np.abs(c))) if to is None else to[1]
+    return (i, j), np.concatenate([np.delete(abar, i) / abar[i], np.delete(c, j) / c[j]])
+
+
+def start_solutions(chart: Chart) -> np.ndarray:
+    """The base instance's 92 zeros in the tracking chart, (92, 8)."""
+    to = (chart.i, chart.j)
+    return np.array([_to_chart(z, (0, 0), to)[1] for z in base_instance()[1]])
 
 
 def _batch_solve(a, b):
@@ -302,48 +320,48 @@ def _batch_solve(a, b):
         return out
 
 
-def _track_block(chartsys, start, starts, gamma, opts: SolverOptions):
-    """Track a block of paths from t=1 to t=0; returns per-path state arrays."""
+def _track_block(hom: ParameterHomotopy, starts, charts, opts: SolverOptions):
+    """Track a block of paths from t=1 to t=0, each point in its own chart;
+    returns per-path state arrays."""
     n = starts.shape[0]
-    x = starts.astype(complex).copy()
+    x = starts.astype(complex)
+    charts = charts.copy()
     t = np.ones(n)
     dt = np.full(n, _DT_INIT)
     nsucc = np.zeros(n, dtype=int)
     steps = np.zeros(n, dtype=int)
     status = np.full(n, _ACTIVE, dtype=int)
 
-    def h_tangent(xs, ts):
-        phi, jphi = chartsys.eval(xs, jac=True)
-        g, jg = start.eval(xs)
-        hx = gamma * ts[:, None, None] * jg + (1 - ts)[:, None, None] * jphi
-        ht = gamma * g - phi
+    def h_tangent(xs, ts, cs):
+        _, hx, ht = hom.eval(xs, ts, cs)
         return _batch_solve(hx, ht)
 
-    def h_newton(xs, ts):
-        phi, jphi = chartsys.eval(xs, jac=True)
-        g, jg = start.eval(xs)
-        h = gamma * ts[:, None] * g + (1 - ts)[:, None] * phi
-        hx = gamma * ts[:, None, None] * jg + (1 - ts)[:, None, None] * jphi
+    def h_newton(xs, ts, cs):
+        h, hx, _ = hom.eval(xs, ts, cs)
         return _batch_solve(hx, h)
 
     while True:
         idx = np.flatnonzero(status == _ACTIVE)
         if idx.size == 0:
             break
-        xs, ts, hs = x[idx], t[idx], np.minimum(dt[idx], t[idx])
+        # far out in its chart a point nears the chart's boundary, where the
+        # tracking degrades; in its best chart it is well scaled again
+        for k in idx[np.max(np.abs(x[idx]), axis=1) > _CHART_NORM]:
+            charts[k], x[k] = _to_chart(x[k], charts[k])
+        xs, ts, cs, hs = x[idx], t[idx], charts[idx], np.minimum(dt[idx], t[idx])
 
         # 4th-order predictor on x'(t) = -Hx^{-1} Ht, stepping t -> t-h
-        k1 = h_tangent(xs, ts)
-        k2 = h_tangent(xs + (hs / 2)[:, None] * k1, ts - hs / 2)
-        k3 = h_tangent(xs + (hs / 2)[:, None] * k2, ts - hs / 2)
-        k4 = h_tangent(xs + hs[:, None] * k3, ts - hs)
+        k1 = h_tangent(xs, ts, cs)
+        k2 = h_tangent(xs + (hs / 2)[:, None] * k1, ts - hs / 2, cs)
+        k3 = h_tangent(xs + (hs / 2)[:, None] * k2, ts - hs / 2, cs)
+        k4 = h_tangent(xs + hs[:, None] * k3, ts - hs, cs)
         xp = xs + (hs / 6)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
         tn = ts - hs
 
         # Newton corrector
         delta = None
         for _ in range(_CORRECTOR_ITERS):
-            delta = h_newton(xp, tn)
+            delta = h_newton(xp, tn, cs)
             xp = xp - delta
         ok = np.isfinite(xp).all(axis=1)
         move = np.max(np.abs(delta), axis=1)
@@ -363,19 +381,17 @@ def _track_block(chartsys, start, starts, gamma, opts: SolverOptions):
         status[rej[dt[rej] < _DT_MIN]] = _FAILED
 
         steps[idx] += 1
-        big = idx[np.max(np.abs(x[idx]), axis=1) > _DIVERGE_NORM]
-        status[big] = _DIVERGED
         status[idx[steps[idx] >= opts.max_steps]] = _FAILED
         done = idx[t[idx] <= 0]
         status[done[status[done] == _ACTIVE]] = _REACHED
 
-    # final Newton refinement on the target system alone
+    # final Newton refinement on the end system alone
     reached = np.flatnonzero(status == _REACHED)
     res = np.full(n, np.inf)
     if reached.size:
-        xr = x[reached]
+        xr, cr, t0 = x[reached], charts[reached], np.zeros(reached.size)
         for _ in range(_REFINE_ITERS):
-            phi, jphi = chartsys.eval(xr, jac=True)
+            phi, jphi, _ = hom.eval(xr, t0, cr)
             r = np.max(np.abs(phi), axis=1)
             live = r > 0.5 * opts.tol_residual
             if not live.any():
@@ -385,15 +401,14 @@ def _track_block(chartsys, start, starts, gamma, opts: SolverOptions):
             step[bad] = 0
             xr[live] = xr[live] - step
         x[reached] = xr
-        phi, _ = chartsys.eval(xr)
-        res[reached] = np.max(np.abs(phi), axis=1)
-        scale = np.maximum(1.0, chartsys.scale_bound(xr))
+        res[reached] = np.max(np.abs(hom.eval(xr, t0, cr)[0]), axis=1)
+        scale = np.maximum(1.0, hom.scale_bound(xr, cr))
         good = res[reached] <= opts.tol_residual * scale
         diverging = np.max(np.abs(xr), axis=1) > _DIVERGE_NORM
         status[reached[diverging]] = _DIVERGED
         status[reached[~good & ~diverging]] = _FAILED
 
-    return status, x, res, steps
+    return status, x, charts, res, steps
 
 
 def _proj_dist(x, y) -> float:
@@ -427,24 +442,19 @@ def _conic_in_chart(sol: ConicSolution, i: int) -> np.ndarray:
     return np.asarray(conic_coeffs_transition(sol.abar, sol.cbar, sol.chart[0], i))
 
 
-def _tracked_path(start, status, x, res, steps) -> TrackedPath:
-    st = _STATUS_NAMES.get(int(status), "failed")
-    return TrackedPath(
-        start=start,
-        status=st,
-        endpoint=x if st == "converged" else None,
-        residual=float(res),
-        steps=int(steps),
-    )
-
-
-def track(start_point, hsys: HomotopySystem, opts: SolverOptions) -> TrackedPath:
-    """Track a single path; thin wrapper over the batched tracker."""
-    starts = np.asarray(start_point, dtype=complex).reshape(1, 8)
-    status, x, res, steps = _track_block(
-        hsys.chartsys, hsys.start, starts, hsys.gamma, opts
-    )
-    return _tracked_path(starts[0], status[0], x[0], res[0], steps[0])
+def _newton(system: NumericChartSystem, x, iters: int, tol: float):
+    """Newton steps on the chart system from x (1, 8) until the residual is
+    at most tol / 4: x and its residual, or (None, inf) on a step that is
+    not finite."""
+    for _ in range(iters):
+        phi, jphi = system.eval(x, jac=True)
+        if np.max(np.abs(phi)) <= 0.25 * tol:
+            break
+        step = _batch_solve(jphi, phi)
+        if not np.isfinite(step).all():
+            return None, np.inf
+        x = x - step
+    return x, float(system.residual(x)[0])
 
 
 def _canonical_chart_data(endpoint, chart: tuple, systems: dict, lines, opts):
@@ -454,53 +464,22 @@ def _canonical_chart_data(endpoint, chart: tuple, systems: dict, lines, opts):
 
     Returns None when the refinement cannot certify the point.
     """
-    i, j = chart
-    abar = np.array(insert_one(endpoint[:3], i, 1.0 + 0j))
-    cbar = np.array(insert_one(endpoint[3:], j, 1.0 + 0j))
-    istar = int(np.argmax(np.abs(abar)))
-    cstar = np.array(
-        conic_coeffs_transition(tuple(abar), tuple(cbar), i, istar)
-    )
-    jstar = int(np.argmax(np.abs(cstar)))
-    a_new = np.array([abar[k] / abar[istar] for k in range(4) if k != istar])
-    b_new = np.array([cstar[k] / cstar[jstar] for k in range(6) if k != jstar])
-    key = (istar, jstar)
+    key, x = _to_chart(endpoint, chart)
+    istar, jstar = key
     if key not in systems:
         systems[key] = NumericChartSystem(Chart(*key), lines)
     sysrc = systems[key]
-    x = np.concatenate([a_new, b_new]).reshape(1, 8)
-    for _ in range(30):
-        phi, jphi = sysrc.eval(x, jac=True)
-        if np.max(np.abs(phi)) <= 0.25 * opts.tol_residual:
-            break
-        step = _batch_solve(jphi, phi)
-        if not np.isfinite(step).all():
-            return None
-        x = x - step
-    res = float(sysrc.residual(x[0:1])[0])
-    if not np.isfinite(res) or res > opts.tol_residual:
+    x, res = _newton(sysrc, x.reshape(1, 8), 30, opts.tol_residual)
+    if not res <= opts.tol_residual:
         return None
 
     coords = x[0]
     is_real = float(np.max(np.abs(coords.imag))) < opts.real_tol
     if is_real:
-        xr = coords.real.copy().reshape(1, 8)
-        for _ in range(20):
-            phi, jphi = sysrc.eval(xr, jac=True)
-            if np.max(np.abs(phi)) <= 0.25 * opts.tol_residual:
-                break
-            step = _batch_solve(jphi, phi)
-            if not np.isfinite(step).all():
-                is_real = False
-                break
-            xr = xr - step
+        xr, res_r = _newton(sysrc, coords.real.reshape(1, 8), 20, opts.tol_residual)
+        is_real = res_r <= opts.tol_residual
         if is_real:
-            res_r = float(sysrc.residual(xr[0:1])[0])
-            if res_r <= opts.tol_residual:
-                coords = xr[0].astype(complex)
-                res = res_r
-            else:
-                is_real = False
+            coords, res = xr[0].astype(complex), res_r
 
     det = complex(sysrc.det_jacobian(coords.real if is_real else coords, raw=True))
     abar = np.array(insert_one(coords[:3], istar, 1.0 + 0j))
@@ -569,107 +548,95 @@ def _round_key(values, digits=9):
     return tuple(out)
 
 
-def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
-    """Track all start paths, refine, deduplicate and classify endpoints.
+def _leg(start, end, x, charts, opts: SolverOptions, rng, paths: list):
+    """Track the zeros x (N, 8) of the `start` lines, each in its chart
+    (N, 2), to the `end` lines under a fresh gamma.  Appends every path to
+    `paths` and returns the converged endpoints and their charts."""
+    gamma = complex(np.exp(2j * np.pi * rng.random()))
+    hom = ParameterHomotopy(start, end, gamma)
+    status, xe, ce, res, steps = _track_parallel(hom, x, charts, opts)
+    for first, st, last, ch, r, n in zip(x, status, xe, ce, res, steps):
+        name = _STATUS_NAMES.get(int(st), "failed")
+        endpoint = last if name == "converged" else None
+        paths.append(TrackedPath(first, name, endpoint, tuple(map(int, ch)), float(r), int(n)))
+    done = status == _REACHED
+    return xe[done], ce[done]
 
-    Every converged endpoint, from chart (0,0), a gamma retry or a fallback
-    chart, is canonicalized once into one pool, which `_distinct_zeros`
-    deduplicates in one pass before `_classify`.  Raises CountMismatch if,
-    after gamma retries and fallback charts, the number of zeros (counted
+
+def _candidates(endpoints, charts, lines, opts: SolverOptions) -> list:
+    """The candidates of the endpoints that refine to zeros of `lines`."""
+    systems: dict = {}
+    cands = (
+        _canonical_chart_data(x, tuple(ch), systems, lines, opts)
+        for x, ch in zip(endpoints, charts)
+    )
+    return [c for c in cands if c is not None]
+
+
+def monodromy(lines, zeros: list, want: int, budget: int, opts: SolverOptions,
+              rng, paths: list):
+    """Monodromy loops at `lines` from the distinct zeros found so far.
+
+    Each loop tracks them to random complex lines and back, a fresh gamma
+    per leg, and adds the endpoints to the distinct zeros.  Stops once
+    `want` zeros are found or `budget` loops have run; returns the distinct
+    zeros and the number of loops run.
+    """
+    target = _unit_rows(_line_arrays(lines))
+    loops = 0
+    while len(zeros) < want and loops < budget:
+        loops += 1
+        draw = rng.standard_normal((2, 2, 8, 4))
+        mid = _unit_rows(draw[0] + 1j * draw[1])
+        x = np.array([z.a + z.b for z in zeros], dtype=complex).reshape(-1, 8)
+        charts = np.array([z.chart for z in zeros], dtype=int).reshape(-1, 2)
+        there = _leg(target, mid, x, charts, opts, rng, paths)
+        back = _leg(mid, target, *there, opts, rng, paths)
+        zeros = _distinct_zeros(zeros + _candidates(*back, lines, opts), opts.tol_dedup)
+    return zeros, loops
+
+
+def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
+    """Track the base zeros to `lines`, refine, deduplicate and classify.
+
+    Every converged endpoint is canonicalized once, and `_distinct_zeros`
+    deduplicates the pool before `_classify`.  While fewer than
+    `opts.expected_count` zeros are found, monodromy loops at the target
+    look for the rest (none when the count is None).  Raises CountMismatch
+    if, after at most `_LOOP_BUDGET` loops, the number of zeros (counted
     with conjugates) differs from the expected count, or if a non-real
     zero is left without its conjugate.
     """
     opts = opts or SolverOptions()
     t0 = time.time()
-    hsys = starts = None
-    for draw in range(8):  # re-randomize covectors on a degenerate draw
-        try:
-            hsys = make_homotopy(lines, opts, seed_offset=draw)
-            starts = start_solutions(hsys)
-            break
-        except SingularStartSystem:
-            continue
-    if starts is None:
-        raise SingularStartSystem("could not draw a nondegenerate start system")
-    n_paths = starts.shape[0]
+    rng = np.random.default_rng([opts.seed, 0x5EED])
+    paths: list = []
+    starts = start_solutions(Chart(*opts.chart))
+    charts = np.tile(opts.chart, (len(starts), 1))
+    target = _unit_rows(_line_arrays(lines))
+    ends = _leg(base_instance()[0], target, starts, charts, opts, rng, paths)
+    zeros = _distinct_zeros(_candidates(*ends, lines, opts), opts.tol_dedup)
+    n_base = len(paths)
+    loops = 0
+    if opts.expected_count is not None:
+        zeros, loops = monodromy(
+            lines, zeros, opts.expected_count, _LOOP_BUDGET, opts, rng, paths
+        )
 
-    status, x, res, steps = _track_parallel(
-        hsys.chartsys, hsys.start, starts, hsys.gamma, opts
+    reals, pairs, leftovers = _classify(zeros, opts)
+    solutions = sorted(
+        reals + pairs, key=lambda s: (s.chart, _round_key(list(s.a) + list(s.b)))
     )
-
-    systems: dict = {}
-    found: dict = {}  # path index -> canonical candidate, made once per endpoint
-    fallback_pool: list = []
-
-    def classify_pool():
-        for k in np.flatnonzero(status == _REACHED):
-            if int(k) not in found:
-                found[int(k)] = _canonical_chart_data(
-                    x[k], tuple(opts.chart), systems, lines, opts
-                )
-        pool = [c for _, c in sorted(found.items()) if c is not None]
-        reals, pairs, leftovers = _classify(
-            _distinct_zeros(pool + fallback_pool, opts.tol_dedup), opts
-        )
-        return reals + pairs, leftovers, len(reals) + 2 * len(pairs)
-
-    solutions, leftovers, count = classify_pool()
-
-    # paths lost to step underflow are retried with a perturbed gamma, but
-    # only while solutions are actually missing (excess paths stall too)
-    retracked = 0
-    for attempt in range(1, opts.gamma_retries + 1):
-        if opts.expected_count is None or count >= opts.expected_count:
-            break
-        failed = np.flatnonzero(status == _FAILED)
-        if failed.size == 0:
-            break
-        rng = np.random.default_rng([opts.seed, 0xFA17, attempt])
-        gamma = complex(np.exp(2j * np.pi * rng.random()))
-        st2, x2, res2, steps2 = _track_parallel(
-            hsys.chartsys, hsys.start, starts[failed], gamma, opts
-        )
-        status[failed] = st2
-        x[failed] = x2
-        res[failed] = res2
-        steps[failed] += steps2
-        retracked += failed.size
-        solutions, leftovers, count = classify_pool()
-
-    paths = [
-        _tracked_path(starts[k], status[k], x[k], res[k], steps[k])
-        for k in range(n_paths)
-    ]
-
-    # fallback charts if the count is off (solutions at chart infinity)
-    used_fallbacks = []
-    if opts.expected_count is not None and count != opts.expected_count:
-        for fb in opts.fallback_charts:
-            used_fallbacks.append(fb)
-            fb_opts = replace(opts, chart=tuple(fb))
-            hsys2 = make_homotopy(lines, fb_opts, seed_offset=100 + len(used_fallbacks))
-            starts2 = start_solutions(hsys2)
-            st2, x2, _, _ = _track_parallel(
-                hsys2.chartsys, hsys2.start, starts2, hsys2.gamma, fb_opts
-            )
-            for k in np.flatnonzero(st2 == _REACHED):
-                cand = _canonical_chart_data(x2[k], tuple(fb), systems, lines, opts)
-                if cand is not None:
-                    fallback_pool.append(cand)
-            solutions, leftovers, count = classify_pool()
-            if count == opts.expected_count:
-                break
-
-    solutions.sort(key=lambda s: (s.chart, _round_key(list(s.a) + list(s.b))))
-
+    status = [p.status for p in paths]
     stats = {
-        "paths_tracked": int(n_paths),
-        "converged_paths": int(np.sum(status == _REACHED)),
-        "diverged_paths": int(np.sum(status == _DIVERGED)),
-        "failed_paths": int(np.sum(status == _FAILED)),
-        "retracked": int(retracked),
+        "paths_tracked": len(paths),
+        "converged_paths": status.count("converged"),
+        "diverged_paths": status.count("diverged"),
+        "failed_paths": status.count("failed"),
+        "retracked": len(paths) - n_base,
+        "loops": loops,
         "unpaired": len(leftovers),
-        "fallback_charts": used_fallbacks,
+        "fallback_charts": [],
         "seed": opts.seed,
         "chart": list(opts.chart),
         "wall_time": time.time() - t0,
@@ -689,33 +656,22 @@ def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
     return sset
 
 
-def _track_parallel(chartsys, start, starts, gamma, opts: SolverOptions):
+def _track_parallel(hom: ParameterHomotopy, starts, charts, opts: SolverOptions):
     """Partition paths into contiguous blocks per thread; results are
     bitwise independent of the partition, so any thread count gives the
     single-threaded output."""
     n = starts.shape[0]
     workers = max(1, int(opts.threads))
     if workers == 1 or n < 2 * workers:
-        return _track_block(chartsys, start, starts, gamma, opts)
+        return _track_block(hom, starts, charts, opts)
     bounds = np.linspace(0, n, workers + 1, dtype=int)
-    blocks = [(int(bounds[b]), int(bounds[b + 1])) for b in range(workers)]
-    status = np.empty(n, dtype=int)
-    x = np.empty((n, 8), dtype=complex)
-    res = np.empty(n)
-    steps = np.empty(n, dtype=int)
 
     def run(lo, hi):
-        return _track_block(chartsys, start, starts[lo:hi], gamma, opts)
+        return _track_block(hom, starts[lo:hi], charts[lo:hi], opts)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, lo, hi) for lo, hi in blocks]
-        for (lo, hi), fut in zip(blocks, futures):
-            st, xx, rr, ss = fut.result()
-            status[lo:hi] = st
-            x[lo:hi] = xx
-            res[lo:hi] = rr
-            steps[lo:hi] = ss
-    return status, x, res, steps
+        blocks = list(pool.map(run, bounds[:-1], bounds[1:]))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def assemble_enriched_count(sset: SolutionSet) -> GwForm:

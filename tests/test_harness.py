@@ -257,3 +257,13 @@ def test_verify_report(instances, solutions):
         "scaling_square",
         "odd_permutation_sign",
     }
+
+
+def test_verify_seed46(instances):
+    # its two closest zeros are real, 5.1e-5 apart, of opposite signs
+    from conics92.harness import verify
+    from conics92.solver import SolverOptions
+
+    report = verify(instances[46], SolverOptions(seed=46))
+    assert report.passed
+    assert (report.count, report.real, report.positive) == (92, 38, 19)

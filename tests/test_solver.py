@@ -1,78 +1,35 @@
+import itertools
 import json
+from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from conics92 import solver
 from conics92.errors import CountMismatch, IncompleteSet
-from conics92.geometry import conic_coeffs_transition
+from conics92.geometry import Chart, Line3, conic_coeffs_transition
 from conics92.gw import EQUAL, GwForm, gw_equal, invariants
+from conics92.harness import gen_planted_instance
 from conics92.solver import (
     ConicSolution,
+    ParameterHomotopy,
     SolverOptions,
     _classify,
     _distinct_zeros,
     assemble_enriched_count,
-    make_homotopy,
     solve_all,
     projective_pair_dist,
-    start_solutions,
-    track,
 )
 
 from helpers import match_solution_sets
 
 
-def test_start_solutions_count_and_residual(instances):
-    opts = SolverOptions(seed=42)
-    hsys = make_homotopy(instances[42].lines, opts)
-    starts = start_solutions(hsys)
-    assert starts.shape == (448, 8)
-    g, _ = hsys.start.eval(starts)
-    assert float(np.max(np.abs(g))) < 1e-12
-
-
-def test_start_solutions_pairwise_distinct(instances):
-    hsys = make_homotopy(instances[42].lines, SolverOptions(seed=42))
-    starts = start_solutions(hsys)
-    dmin = np.inf
-    for i in range(0, 448, 64):
-        blk = starts[i : i + 64]
-        dd = np.abs(blk[:, None, :] - starts[None, :, :]).max(axis=2)
-        for r in range(blk.shape[0]):
-            dd[r, i + r] = np.inf
-        dmin = min(dmin, float(dd.min()))
-    assert dmin > 1e-6
-
-
-def test_total_degree_start(instances):
-    opts = SolverOptions(seed=42, total_degree=True)
-    hsys = make_homotopy(instances[42].lines, opts)
-    starts = start_solutions(hsys)
-    assert starts.shape == (6561, 8)
-    g, _ = hsys.start.eval(starts)
-    assert float(np.max(np.abs(g))) < 1e-12
-
-
-def test_track_single_path(instances):
-    opts = SolverOptions(seed=42)
-    hsys = make_homotopy(instances[42].lines, opts)
-    starts = start_solutions(hsys)
-    # no motion at t=1: the start point satisfies the homotopy exactly
-    g, _ = hsys.start.eval(starts[:1])
-    h_at_start = hsys.gamma * 1.0 * g
-    assert float(np.max(np.abs(h_at_start))) < 1e-12
-    path = track(starts[0], hsys, opts)
-    assert path.status in ("converged", "diverged", "failed")
-    assert path.steps > 0
-    if path.status == "converged":
-        assert path.residual < 1e-10
-
-
 def test_solve_seed42_contract(solutions):
     sset = solutions(42)
     assert sset.count == 92
-    assert sset.stats["paths_tracked"] == 448
+    # the 92 base paths and every monodromy loop leg
+    assert sset.stats["paths_tracked"] == len(sset.paths) == 92 + sset.stats["retracked"]
     assert all(s.residual < 1e-12 for s in sset.solutions)
     assert all(abs(s.det_jac) > 1e-8 for s in sset.solutions)
     r = len(sset.real_solutions)
@@ -240,12 +197,80 @@ def test_unpaired_zero_raises(instances, monkeypatch):
     assert dropped
 
 
-def test_fallback_chart_merges_without_double_counting(instances):
-    # seed 42 has 92 zeros; asking for 93 forces fallback chart (1, 2), whose
-    # own 92 zeros must merge into the pool of chart (0, 0) one for one
-    opts = SolverOptions(
-        seed=42, expected_count=93, gamma_retries=0, fallback_charts=((1, 2),)
-    )
+def test_loop_endpoints_merge_one_for_one(instances, monkeypatch):
+    # seed 42 has 92 zeros; asking for 93 runs monodromy loops, whose
+    # endpoints must merge into the zeros already found one for one
+    monkeypatch.setattr(solver, "_LOOP_BUDGET", 2)
     with pytest.raises(CountMismatch, match="found 92 zeros") as err:
-        solve_all(instances[42].lines, opts)
-    assert "'fallback_charts': [(1, 2)]" in str(err.value)
+        solve_all(instances[42].lines, SolverOptions(seed=42, expected_count=93))
+    assert "'loops': 2" in str(err.value)
+
+
+def test_best_chart_moves_a_far_point():
+    # a point with coordinates near 1e4 in chart (0, 0), as tracking meets
+    # close to that chart's boundary, is the same zero with coordinates at
+    # most 1 in its best chart
+    far = np.array([1e4, 0.3, -2.0, 5e3 + 1j, 0.2, -0.4j, 7.0, 1.5])
+    chart, x = solver._to_chart(far, (0, 0))
+    assert chart != (0, 0)
+    assert np.max(np.abs(x)) <= 1.0
+    assert np.allclose(solver._to_chart(x, chart, (0, 0))[1], far)
+
+
+def test_homotopy_derivatives_match_finite_differences():
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((3, 2, 8, 4))
+    start = solver._unit_rows(z[0] + 1j * z[1])
+    end = solver._unit_rows(z[2])
+    hom = ParameterHomotopy(start, end, np.exp(2j * np.pi * rng.random()))
+    x = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+    t = rng.random(6)
+    charts = np.array([(0, 0), (2, 4), (3, 5), (1, 2), (0, 3), (2, 1)])
+    h, hx, ht = hom.eval(x, t, charts)
+    eps = 1e-6
+    dt = (hom.eval(x, t + eps, charts)[0] - hom.eval(x, t - eps, charts)[0]) / (2 * eps)
+    assert np.allclose(ht, dt, rtol=1e-7, atol=1e-8)
+    for v in range(8):
+        e = np.zeros(8)
+        e[v] = eps
+        dx = (hom.eval(x + e, t, charts)[0] - hom.eval(x - e, t, charts)[0]) / (2 * eps)
+        assert np.allclose(hx[:, :, v], dx, rtol=1e-7, atol=1e-8)
+    # at t=0 each point sees the chart system of the end lines
+    h0, hx0, _ = hom.eval(x, np.zeros(6), charts)
+    lines = [Line3(tuple(p), tuple(s)) for p, s in zip(*end)]
+    for k, (i, j) in enumerate(charts):
+        phi, jphi = solver.NumericChartSystem(Chart(i, j), lines).eval(x[k : k + 1], jac=True, raw=True)
+        assert np.allclose(h0[k], phi[0]) and np.allclose(hx0[k], jphi[0])
+
+
+def test_base_fixture_is_complete():
+    data = json.loads(resources.files("conics92").joinpath("base92.json").read_text())
+    inst = gen_planted_instance(data["seed"])
+    assert [[ln.p, ln.s] for ln in inst.lines] == [
+        [tuple(map(Fraction, ln["p"])), tuple(map(Fraction, ln["s"]))] for ln in data["lines"]
+    ]
+    zeros = solver.base_instance()[1]
+    assert zeros.shape == (92, 8)
+    opts = SolverOptions()
+    chart = Chart(0, 0)
+    system = solver.NumericChartSystem(chart, inst.lines)
+    # the solver's backward-error test for endpoints, here in chart (0, 0)
+    bound = np.maximum(1.0, system.scale_bound(zeros))
+    assert np.all(system.residual(zeros) <= opts.tol_residual * bound)
+    assert all(abs(system.det_jacobian(z)) > opts.det_floor for z in zeros)
+    # in its best chart each zero has an absolute residual below tol_residual
+    charts = np.tile((0, 0), (92, 1))
+    cands = solver._candidates(zeros, charts, inst.lines, opts)
+    assert len(cands) == 92
+    assert _distinct_zeros(cands, opts.tol_dedup) == cands
+    conj = solver._candidates(np.conj(zeros), charts, inst.lines, opts)
+    assert _distinct_zeros(cands + conj, opts.tol_dedup) == cands
+    point = inst.planted_point
+    planted = solver._candidates(
+        [[complex(v) for v in point.a + point.b]], [(point.chart.i, point.chart.j)], inst.lines, opts
+    )
+    assert len(planted) == 1
+    assert _distinct_zeros(cands + planted, opts.tol_dedup) == cands
+    # tracking may start in any chart
+    for i, j in itertools.product(range(4), range(6)):
+        assert np.isfinite(solver.start_solutions(Chart(i, j))).all()
