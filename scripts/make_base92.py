@@ -27,12 +27,11 @@ OUT = Path(__file__).resolve().parent.parent / "src" / "conics92" / "base92.json
 
 def main(out: Path) -> None:
     inst = gen_planted_instance(SEED)
-    opts = solver.SolverOptions(seed=SEED)
     point = inst.planted_point
     planted = np.array([complex(v) for v in point.a + point.b])
-    zeros = solver._candidates([planted], [(point.chart.i, point.chart.j)], inst.lines, opts)
+    zeros = solver._candidates([planted], [(point.chart.i, point.chart.j)], inst.lines)
     rng = np.random.default_rng([SEED, 0xBA5E])
-    zeros, loops = solver.monodromy(inst.lines, zeros, 92, LOOP_BUDGET, opts, rng, [])
+    zeros, loops = solver.monodromy(inst.lines, zeros, 92, LOOP_BUDGET, 1, rng, [])
     if len(zeros) != 92:
         raise SystemExit(f"found {len(zeros)} zeros after {loops} loops")
     coords = sorted(

@@ -2,12 +2,9 @@
 with quadratic-form weights and verified over R, Q and finite fields."""
 
 from .fields import (
-    CC,
     COMPLEX,
-    QQ,
     RATIONAL,
     REAL,
-    RR,
     PrimeField,
     PrimeFieldElement,
     QuadExtElement,

@@ -81,14 +81,7 @@ def _solver_options(args) -> SolverOptions:
     chart = tuple(int(v) for v in args.chart.split(","))
     if len(chart) != 2:
         raise ValueError("--chart expects i,j")
-    return SolverOptions(
-        seed=args.seed,
-        chart=chart,
-        tol_residual=args.tol_residual,
-        tol_dedup=args.tol_dedup,
-        max_steps=args.max_steps,
-        threads=args.threads,
-    )
+    return SolverOptions(seed=args.seed, chart=chart, threads=args.threads)
 
 
 def _load_instance(args) -> Instance:
@@ -127,9 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="instance/solver seed")
         p.add_argument("--bound", type=int, default=10)
         p.add_argument("--chart", default="0,0")
-        p.add_argument("--tol-residual", type=float, default=1e-12)
-        p.add_argument("--tol-dedup", type=float, default=1e-6)
-        p.add_argument("--max-steps", type=int, default=5000)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out")
 

@@ -257,8 +257,6 @@ class PrimeField:
             return PrimeFieldElement(self.p, v.numerator) / v.denominator
         return PrimeFieldElement(self.p, int(v))
 
-    of = __call__
-
     def zero(self) -> PrimeFieldElement:
         return PrimeFieldElement(self.p, 0)
 
@@ -422,8 +420,6 @@ class QuadExtField:
             c1 = c1.value
         return QuadExtElement(self, int(c0), int(c1))
 
-    of = __call__
-
     def zero(self) -> QuadExtElement:
         return QuadExtElement(self, 0, 0)
 
@@ -450,44 +446,6 @@ class QuadExtField:
 
     def __repr__(self):
         return f"QuadExtField(p={self.p}, t^2+{self.beta}t+{self.gamma})"
-
-
-class RationalField:
-    tag = RATIONAL
-
-    @staticmethod
-    def of(x) -> Fraction:
-        return Fraction(x)
-
-    zero = staticmethod(lambda: Fraction(0))
-    one = staticmethod(lambda: Fraction(1))
-
-
-class RealField:
-    tag = REAL
-
-    @staticmethod
-    def of(x) -> float:
-        return float(x)
-
-    zero = staticmethod(lambda: 0.0)
-    one = staticmethod(lambda: 1.0)
-
-
-class ComplexField:
-    tag = COMPLEX
-
-    @staticmethod
-    def of(x) -> complex:
-        return complex(x)
-
-    zero = staticmethod(lambda: 0j)
-    one = staticmethod(lambda: 1 + 0j)
-
-
-QQ = RationalField()
-RR = RealField()
-CC = ComplexField()
 
 
 def ensure_finite(z: complex) -> complex:

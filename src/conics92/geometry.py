@@ -53,9 +53,6 @@ def coerce_scalars(values) -> tuple:
 # ambient indices kept by the plane-coordinate projection of chart i
 PLANE_COORD_INDICES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
-# (u, v) exponent pairs of the conic monomial basis
-MONOMIAL_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
-
 
 def _rank2(p, s) -> bool:
     return any(

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .errors import Degenerate, FieldMismatch, UnsupportedExtension
 from .fields import (
     COMPLEX,
-    QQ,
     RATIONAL,
     REAL,
     PrimeFieldElement,

@@ -52,6 +52,8 @@ from .gw import EQUAL, GwForm, gw_equal, invariants
 from .linalg import adjugate3, det
 from .section import SectionSystem, eval_section, jacobian, monomial_vector
 from .solver import (
+    DET_FLOOR,
+    TOL_RESIDUAL,
     NumericChartSystem,
     SolverOptions,
     assemble_enriched_count,
@@ -746,9 +748,9 @@ def verify(instance: Instance, opts: SolverOptions | None = None) -> Verificatio
         checks.append({"name": name, "pass": bool(ok), "tolerance": tol, "detail": detail})
 
     res_max = max((s.residual for s in sset.solutions), default=0.0)
-    check("residuals", res_max < opts.tol_residual, opts.tol_residual, f"max={res_max:.2e}")
+    check("residuals", res_max < TOL_RESIDUAL, TOL_RESIDUAL, f"max={res_max:.2e}")
     det_min = min((abs(s.det_jac) for s in sset.solutions), default=np.inf)
-    check("jacobians_nonzero", det_min > opts.det_floor, opts.det_floor, f"min={det_min:.2e}")
+    check("jacobians_nonzero", det_min > DET_FLOOR, DET_FLOOR, f"min={det_min:.2e}")
     check("real_balance", pos == neg, 0, f"pos={pos} neg={neg}")
     check(
         "signature_zero",
@@ -764,18 +766,18 @@ def verify(instance: Instance, opts: SolverOptions | None = None) -> Verificatio
         chart = Chart(*sol.chart)
         x = np.array(list(sol.a) + list(sol.b))
         base = NumericChartSystem(chart, instance.lines)
-        d0 = base.det_jacobian(x, raw=True)
+        d0 = base.det_jacobian(x)
 
         lam = 1.5
         scaled = [
             Line3(tuple(v * lam for v in instance.lines[0].p), instance.lines[0].s)
         ] + list(instance.lines[1:])
-        d1 = NumericChartSystem(chart, scaled).det_jacobian(x, raw=True)
+        d1 = NumericChartSystem(chart, scaled).det_jacobian(x)
         ok = abs(d1 - lam**2 * d0) <= 1e-8 * abs(d1)
         check("scaling_square", ok, 1e-8, f"ratio={abs(d1 / d0):.6f}")
 
         swapped = [instance.lines[1], instance.lines[0]] + list(instance.lines[2:])
-        d2 = NumericChartSystem(chart, swapped).det_jacobian(x, raw=True)
+        d2 = NumericChartSystem(chart, swapped).det_jacobian(x)
         ok = abs(d2 + d0) <= 1e-8 * abs(d0)
         check("odd_permutation_sign", ok, 1e-8, f"d2/d0={complex(d2 / d0):.6f}")
 

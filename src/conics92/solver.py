@@ -14,14 +14,20 @@ leg) recover the lost paths.
 Tracking is a 4th-order predictor with a Newton corrector and an adaptive
 step, batched across paths with numpy.  Paths start in the requested chart,
 and a point whose coordinates pass _CHART_NORM moves to its best chart, so
-no path runs off to a chart's infinity.  Endpoints are refined,
-deduplicated projectively, classified real / conjugate-pair, and reported
-in the best-conditioned chart per solution.
+no path runs off to a chart's infinity.  A path ends "converged" at t=0 or
+"failed" on step underflow or after _MAX_STEPS steps.  The endpoint stage
+(`_candidates`) then moves each endpoint to its best chart, refines the
+endpoints of one chart together, keeps the zeros and classifies them real
+or non-real; `_distinct_zeros` and `_classify` merge the same zero and pair
+conjugates with one same-zero test.
 
-Conventions: endpoint residuals are measured with line representatives
-rescaled to unit norm (scale-free); the reported Jacobian determinant is
-evaluated against the caller's own line representatives, so its square
-class and sign are the ones the input data defines.
+Conventions: a zero's residual is the max-norm of the section in its best
+chart, where its largest plane and conic coefficients are 1, with each
+line's chart tensor scaled to unit max-norm (`NumericChartSystem.eval`), so
+it does not depend on how the caller scales the lines; the reported
+Jacobian determinant is evaluated against the caller's own line
+representatives, so its square class and sign are the ones the input data
+defines.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -40,17 +46,29 @@ from .fields import REAL, SquareClass, complex_to_json
 from .geometry import PLANE_COORD_INDICES, Chart, conic_coeffs_transition, insert_one
 from .gw import GwForm
 
-_ACTIVE, _REACHED, _DIVERGED, _FAILED = 0, 1, 2, 3
-_STATUS_NAMES = {_REACHED: "converged", _DIVERGED: "diverged", _FAILED: "failed"}
+_ACTIVE, _REACHED, _FAILED = 0, 1, 2
+_STATUS_NAMES = {_REACHED: "converged", _FAILED: "failed"}
 
 _DT_INIT = 0.05
 _DT_MAX = 0.1
 _DT_MIN = 1e-7
 _GROW_AFTER = 3
-_DIVERGE_NORM = 1e8
 _CHART_NORM = 10.0
 _CORRECTOR_ITERS = 3
-_REFINE_ITERS = 50
+_REFINE_ITERS = 30
+# The endpoint stage's fixed tolerances.  An endpoint is a zero when Newton
+# brings its residual (see Conventions) to TOL_RESIDUAL; it is real when its
+# coordinates there are within REAL_TOL of real and its real part refines to
+# TOL_RESIDUAL too.  Two candidates closer than TOL_DEDUP as moduli points
+# (`projective_pair_dist`) are the same zero, and a non-real candidate is
+# paired with the candidate that is the same zero as its conjugate.  A zero
+# with |det J| at most DET_FLOOR fails the solve, and a path fails after
+# _MAX_STEPS steps.
+TOL_RESIDUAL = 1e-12
+TOL_DEDUP = 1e-6
+REAL_TOL = 1e-8
+DET_FLOOR = 1e-8
+_MAX_STEPS = 5000
 # monodromy loops solve_all runs before it reports a count mismatch; with 4
 # of the 92 zeros dropped, one or two loops found them again (seeds 42, 44
 # and 46, three draws each)
@@ -61,12 +79,7 @@ _LOOP_BUDGET = 8
 class SolverOptions:
     seed: int = 0
     chart: tuple = (0, 0)
-    tol_residual: float = 1e-12
-    tol_dedup: float = 1e-6
-    real_tol: float = 1e-8
-    max_steps: int = 5000
     threads: int = 1
-    det_floor: float = 1e-8
     expected_count: int | None = 92
 
 
@@ -126,11 +139,6 @@ def _section(z, c, grad: bool = False):
     return values, mon, np.stack([g0, g1, g2], axis=-1)
 
 
-def _scale_bound(z, c) -> np.ndarray:
-    """L1 bound on the section's components; backward-error yardstick."""
-    return np.max(_section(np.abs(z), np.abs(c))[0], axis=1)
-
-
 class NumericChartSystem:
     """Float/complex evaluation of one chart's section and Jacobian."""
 
@@ -143,34 +151,28 @@ class NumericChartSystem:
         """The chart tensor with each line's block scaled to unit max-norm."""
         return self.z_raw / np.max(np.abs(self.z_raw), axis=(1, 2))[:, None, None]
 
-    def _points(self, x, zm):
-        abar, c, free = _plane_and_conic(x, self.chart.j)
-        return np.einsum("nrc,Nc->Nnr", zm, abar), c, free
-
     def eval(self, x, jac: bool = False, raw: bool = False):
         """Section values (N,8) and optionally the Jacobian (N,8 eq,8 var)."""
         zm = self.z_raw if raw else self.z_norm
-        z, c, free = self._points(np.asarray(x), zm)
-        phi, mon, grad = _section(z, c, jac)
+        abar, c, free = _plane_and_conic(np.asarray(x), self.chart.j)
+        phi, mon, grad = _section(np.einsum("nrc,Nc->Nnr", zm, abar), c, jac)
         if not jac:
             return phi, None
         return phi, _jacobian(np.einsum("Nnr,nrl->Nnl", grad, zm[:, :, 1:4]), mon, free)
 
-    def residual(self, x, raw: bool = False) -> np.ndarray:
-        phi, _ = self.eval(np.atleast_2d(x), raw=raw)
+    def residual(self, x) -> np.ndarray:
+        """The max-norm of the scaled section at the points x (N, 8)."""
+        phi, _ = self.eval(np.atleast_2d(x))
         return np.max(np.abs(phi), axis=1)
 
-    def scale_bound(self, x) -> np.ndarray:
-        """L1 bound on the section's components; backward-error yardstick."""
-        z, c, _ = self._points(np.atleast_2d(x), self.z_norm)
-        return _scale_bound(z, c)
-
-    def det_jacobian(self, x, raw: bool = True):
-        """Jacobian determinant with the chart orientation sign (matching
-        the exact backend's convention)."""
-        _, jmat = self.eval(np.atleast_2d(np.asarray(x)), jac=True, raw=raw)
+    def det_jacobian(self, x):
+        """Jacobian determinant on the caller's lines, with the chart
+        orientation sign (matching the exact backend's convention); one per
+        point for points x (N, 8), a scalar for one point (8,)."""
+        x = np.asarray(x)
+        _, jmat = self.eval(x.reshape(-1, 8), jac=True, raw=True)
         sign = -1.0 if (self.chart.i + self.chart.j) % 2 else 1.0
-        return sign * np.linalg.det(jmat)[0]
+        return sign * np.linalg.det(jmat).reshape(x.shape[:-1])[()]
 
 
 class ParameterHomotopy:
@@ -193,26 +195,17 @@ class ParameterHomotopy:
         mixed = gamma * tensor(p0, s1) + tensor(p1, s0)
         self.coef = (z0, mixed - 2 * z0, z0 - mixed + gamma * tensor(p0, s0))
 
-    def _points(self, x, t, charts):
+    def eval(self, x, t, charts):
+        """H (N,8), H_x (N,8,8) and H_t (N,8) at points x (N,8) and times t
+        (N,), each point in its chart charts[k] = (i, j)."""
         z0, z1, z2 = (z[charts[:, 0]] for z in self.coef)
         tt = t[:, None, None, None]
         zt = z0 + tt * (z1 + tt * z2)
         abar, c, free = _plane_and_conic(x, charts[:, 1])
-        return zt, z1 + 2 * tt * z2, abar, c, free
-
-    def eval(self, x, t, charts):
-        """H (N,8), H_x (N,8,8) and H_t (N,8) at points x (N,8) and times t
-        (N,), each point in its chart charts[k] = (i, j)."""
-        zt, dzt, abar, c, free = self._points(x, t, charts)
         h, mon, grad = _section(np.einsum("Nnrc,Nc->Nnr", zt, abar), c, grad=True)
         ja = np.einsum("Nnr,Nnrl->Nnl", grad, zt[..., 1:4])
-        ht = np.einsum("Nnr,Nnrc,Nc->Nn", grad, dzt, abar)
+        ht = np.einsum("Nnr,Nnrc,Nc->Nn", grad, z1 + 2 * tt * z2, abar)
         return h, _jacobian(ja, mon, free), ht
-
-    def scale_bound(self, x, charts) -> np.ndarray:
-        """The end lines' scale bound (t=0) at points x, each in its chart."""
-        zt, _, abar, c, _ = self._points(x, np.zeros(len(x)), charts)
-        return _scale_bound(np.einsum("Nnrc,Nc->Nnr", zt, abar), c)
 
 
 @dataclass
@@ -221,7 +214,6 @@ class TrackedPath:
     status: str
     endpoint: np.ndarray | None
     chart: tuple  # the endpoint's chart
-    residual: float
     steps: int
 
 
@@ -320,9 +312,9 @@ def _batch_solve(a, b):
         return out
 
 
-def _track_block(hom: ParameterHomotopy, starts, charts, opts: SolverOptions):
+def _track_block(hom: ParameterHomotopy, starts, charts):
     """Track a block of paths from t=1 to t=0, each point in its own chart;
-    returns per-path state arrays."""
+    returns the status, endpoint, chart and step count of each path."""
     n = starts.shape[0]
     x = starts.astype(complex)
     charts = charts.copy()
@@ -381,34 +373,11 @@ def _track_block(hom: ParameterHomotopy, starts, charts, opts: SolverOptions):
         status[rej[dt[rej] < _DT_MIN]] = _FAILED
 
         steps[idx] += 1
-        status[idx[steps[idx] >= opts.max_steps]] = _FAILED
+        status[idx[steps[idx] >= _MAX_STEPS]] = _FAILED
         done = idx[t[idx] <= 0]
         status[done[status[done] == _ACTIVE]] = _REACHED
 
-    # final Newton refinement on the end system alone
-    reached = np.flatnonzero(status == _REACHED)
-    res = np.full(n, np.inf)
-    if reached.size:
-        xr, cr, t0 = x[reached], charts[reached], np.zeros(reached.size)
-        for _ in range(_REFINE_ITERS):
-            phi, jphi, _ = hom.eval(xr, t0, cr)
-            r = np.max(np.abs(phi), axis=1)
-            live = r > 0.5 * opts.tol_residual
-            if not live.any():
-                break
-            step = _batch_solve(jphi[live], phi[live])
-            bad = ~np.isfinite(step).all(axis=1)
-            step[bad] = 0
-            xr[live] = xr[live] - step
-        x[reached] = xr
-        res[reached] = np.max(np.abs(hom.eval(xr, t0, cr)[0]), axis=1)
-        scale = np.maximum(1.0, hom.scale_bound(xr, cr))
-        good = res[reached] <= opts.tol_residual * scale
-        diverging = np.max(np.abs(xr), axis=1) > _DIVERGE_NORM
-        status[reached[diverging]] = _DIVERGED
-        status[reached[~good & ~diverging]] = _FAILED
-
-    return status, x, charts, res, steps
+    return status, x, charts, steps
 
 
 def _proj_dist(x, y) -> float:
@@ -442,91 +411,114 @@ def _conic_in_chart(sol: ConicSolution, i: int) -> np.ndarray:
     return np.asarray(conic_coeffs_transition(sol.abar, sol.cbar, sol.chart[0], i))
 
 
-def _newton(system: NumericChartSystem, x, iters: int, tol: float):
-    """Newton steps on the chart system from x (1, 8) until the residual is
-    at most tol / 4: x and its residual, or (None, inf) on a step that is
-    not finite."""
-    for _ in range(iters):
-        phi, jphi = system.eval(x, jac=True)
-        if np.max(np.abs(phi)) <= 0.25 * tol:
+def _refine(system: NumericChartSystem, x):
+    """Newton on one chart's system from the points x (N, 8), each until its
+    residual is at most TOL_RESIDUAL / 4: the points and their residuals,
+    inf for a point whose Newton step is not finite."""
+    x = x.copy()
+    res = np.zeros(len(x))
+    live = np.arange(len(x))
+    for _ in range(_REFINE_ITERS):
+        phi, jphi = system.eval(x[live], jac=True)
+        far = np.max(np.abs(phi), axis=1) > TOL_RESIDUAL / 4
+        live, phi, jphi = live[far], phi[far], jphi[far]
+        if not live.size:
             break
         step = _batch_solve(jphi, phi)
-        if not np.isfinite(step).all():
-            return None, np.inf
-        x = x - step
-    return x, float(system.residual(x)[0])
+        finite = np.isfinite(step).all(axis=1)
+        res[live[~finite]] = np.inf
+        live = live[finite]
+        x[live] -= step[finite]
+    return x, np.maximum(system.residual(x), res)
 
 
-def _canonical_chart_data(endpoint, chart: tuple, systems: dict, lines, opts):
-    """Re-express an endpoint in its best-conditioned chart, refine there and
-    return it as a candidate ConicSolution ("real", or "pair" until
-    `_classify` finds its conjugate).
-
-    Returns None when the refinement cannot certify the point.
-    """
-    key, x = _to_chart(endpoint, chart)
-    istar, jstar = key
-    if key not in systems:
-        systems[key] = NumericChartSystem(Chart(*key), lines)
-    sysrc = systems[key]
-    x, res = _newton(sysrc, x.reshape(1, 8), 30, opts.tol_residual)
-    if not res <= opts.tol_residual:
-        return None
-
-    coords = x[0]
-    is_real = float(np.max(np.abs(coords.imag))) < opts.real_tol
-    if is_real:
-        xr, res_r = _newton(sysrc, coords.real.reshape(1, 8), 20, opts.tol_residual)
-        is_real = res_r <= opts.tol_residual
+def _chart_candidates(system: NumericChartSystem, x) -> list:
+    """Refine the endpoints x (N, 8) of one chart together; per endpoint a
+    candidate ConicSolution ("real", or "pair" until `_classify` finds its
+    conjugate), or None where Newton does not reach TOL_RESIDUAL."""
+    x, res = _refine(system, x)
+    real = (res <= TOL_RESIDUAL) & (np.max(np.abs(x.imag), axis=1) < REAL_TOL)
+    rows = np.flatnonzero(real)
+    if rows.size:
+        xr, res_r = _refine(system, x[rows].real)
+        ok = res_r <= TOL_RESIDUAL
+        x[rows[ok]], res[rows[ok]] = xr[ok], res_r[ok]
+        real[rows[~ok]] = False
+    det = np.empty(len(x), dtype=complex)
+    det[real] = system.det_jacobian(x[real].real)
+    det[~real] = system.det_jacobian(x[~real])
+    i, j, one = system.chart.i, system.chart.j, 1.0 + 0j
+    out = []
+    for coords, r, d, is_real in zip(x, res, det, real):
+        if not r <= TOL_RESIDUAL:
+            out.append(None)
+            continue
+        abar = np.array(insert_one(coords[:3], i, one))
+        cbar = np.array(insert_one(coords[3:], j, one))
         if is_real:
-            coords, res = xr[0].astype(complex), res_r
-
-    det = complex(sysrc.det_jacobian(coords.real if is_real else coords, raw=True))
-    abar = np.array(insert_one(coords[:3], istar, 1.0 + 0j))
-    cbar = np.array(insert_one(coords[3:], jstar, 1.0 + 0j))
-    if is_real:
-        coords, abar, cbar, det = coords.real, abar.real, cbar.real, complex(det.real)
-    return ConicSolution(
-        chart=key,
-        a=tuple(coords[:3]),
-        b=tuple(coords[3:]),
-        det_jac=det,
-        reality="real" if is_real else "pair",
-        sign=(1 if det.real > 0 else -1) if is_real else None,
-        residual=res,
-        abar=tuple(abar),
-        cbar=tuple(cbar),
-    )
+            coords, abar, cbar = coords.real, abar.real, cbar.real
+        out.append(
+            ConicSolution(
+                chart=(i, j),
+                a=tuple(coords[:3]),
+                b=tuple(coords[3:]),
+                det_jac=complex(d),
+                reality="real" if is_real else "pair",
+                sign=(1 if d.real > 0 else -1) if is_real else None,
+                residual=float(r),
+                abar=tuple(abar),
+                cbar=tuple(cbar),
+            )
+        )
+    return out
 
 
-def _distinct_zeros(pool, tol: float) -> list:
-    """The first candidate of each zero, in pool order: the one same-zero
-    test for every endpoint, whatever chart or retry it came from."""
+def _candidates(endpoints, charts, lines) -> list:
+    """The candidates of the endpoints that refine to zeros of `lines`, in
+    endpoint order.  Each endpoint moves to its best chart, and the
+    endpoints of one chart are refined together."""
+    moved = [_to_chart(x, tuple(ch)) for x, ch in zip(endpoints, charts)]
+    out = [None] * len(moved)
+    for key in dict.fromkeys(ch for ch, _ in moved):
+        rows = [k for k, (ch, _) in enumerate(moved) if ch == key]
+        system = NumericChartSystem(Chart(*key), lines)
+        cands = _chart_candidates(system, np.array([moved[k][1] for k in rows]))
+        for k, cand in zip(rows, cands):
+            out[k] = cand
+    return [c for c in out if c is not None]
+
+
+def _same_zero(u: ConicSolution, v: ConicSolution) -> bool:
+    """The one same-zero test, for merging endpoints and pairing conjugates."""
+    return projective_pair_dist(u, v, cutoff=TOL_DEDUP) < TOL_DEDUP
+
+
+def _distinct_zeros(pool) -> list:
+    """The first candidate of each zero, in pool order, whatever chart or
+    loop it came from."""
     out = []
     for c in pool:
-        if not any(projective_pair_dist(u, c, cutoff=tol) < tol for u in out):
+        if not any(_same_zero(u, c) for u in out):
             out.append(c)
     return out
 
 
-def _classify(cands, opts):
+def _classify(cands):
     """Split distinct candidates into real zeros, one representative per
     conjugate pair, and the non-real candidates left without a conjugate."""
     reals = [c for c in cands if c.reality == "real"]
     nonreal = [c for c in cands if c.reality != "real"]
-    tol = opts.real_tol * 10
     used = [False] * len(nonreal)
     pairs, leftovers = [], []
     for idx, cand in enumerate(nonreal):
         if used[idx]:
             continue
+        conj = replace(cand, abar=tuple(np.conj(cand.abar)), cbar=tuple(np.conj(cand.cbar)))
         partner = next(
             (
                 k
                 for k in range(idx + 1, len(nonreal))
-                if not used[k]
-                and _proj_dist(np.conj(cand.abar), nonreal[k].abar) < tol
-                and _proj_dist(np.conj(cand.cbar), nonreal[k].cbar) < tol
+                if not used[k] and _same_zero(conj, nonreal[k])
             ),
             None,
         )
@@ -535,7 +527,7 @@ def _classify(cands, opts):
             continue
         used[idx] = used[partner] = True
         # deterministic representative: leading imaginary part positive
-        lead = next((v for v in np.imag(cand.a + cand.b) if abs(v) > opts.real_tol), 0.0)
+        lead = next((v for v in np.imag(cand.a + cand.b) if abs(v) > REAL_TOL), 0.0)
         pairs.append(cand if lead >= 0 else nonreal[partner])
     return reals, pairs, leftovers
 
@@ -548,33 +540,22 @@ def _round_key(values, digits=9):
     return tuple(out)
 
 
-def _leg(start, end, x, charts, opts: SolverOptions, rng, paths: list):
+def _leg(start, end, x, charts, threads: int, rng, paths: list):
     """Track the zeros x (N, 8) of the `start` lines, each in its chart
     (N, 2), to the `end` lines under a fresh gamma.  Appends every path to
     `paths` and returns the converged endpoints and their charts."""
     gamma = complex(np.exp(2j * np.pi * rng.random()))
     hom = ParameterHomotopy(start, end, gamma)
-    status, xe, ce, res, steps = _track_parallel(hom, x, charts, opts)
-    for first, st, last, ch, r, n in zip(x, status, xe, ce, res, steps):
-        name = _STATUS_NAMES.get(int(st), "failed")
+    status, xe, ce, steps = _track_parallel(hom, x, charts, threads)
+    for first, st, last, ch, n in zip(x, status, xe, ce, steps):
+        name = _STATUS_NAMES[int(st)]
         endpoint = last if name == "converged" else None
-        paths.append(TrackedPath(first, name, endpoint, tuple(map(int, ch)), float(r), int(n)))
+        paths.append(TrackedPath(first, name, endpoint, tuple(map(int, ch)), int(n)))
     done = status == _REACHED
     return xe[done], ce[done]
 
 
-def _candidates(endpoints, charts, lines, opts: SolverOptions) -> list:
-    """The candidates of the endpoints that refine to zeros of `lines`."""
-    systems: dict = {}
-    cands = (
-        _canonical_chart_data(x, tuple(ch), systems, lines, opts)
-        for x, ch in zip(endpoints, charts)
-    )
-    return [c for c in cands if c is not None]
-
-
-def monodromy(lines, zeros: list, want: int, budget: int, opts: SolverOptions,
-              rng, paths: list):
+def monodromy(lines, zeros: list, want: int, budget: int, threads: int, rng, paths: list):
     """Monodromy loops at `lines` from the distinct zeros found so far.
 
     Each loop tracks them to random complex lines and back, a fresh gamma
@@ -590,22 +571,23 @@ def monodromy(lines, zeros: list, want: int, budget: int, opts: SolverOptions,
         mid = _unit_rows(draw[0] + 1j * draw[1])
         x = np.array([z.a + z.b for z in zeros], dtype=complex).reshape(-1, 8)
         charts = np.array([z.chart for z in zeros], dtype=int).reshape(-1, 2)
-        there = _leg(target, mid, x, charts, opts, rng, paths)
-        back = _leg(mid, target, *there, opts, rng, paths)
-        zeros = _distinct_zeros(zeros + _candidates(*back, lines, opts), opts.tol_dedup)
+        there = _leg(target, mid, x, charts, threads, rng, paths)
+        back = _leg(mid, target, *there, threads, rng, paths)
+        zeros = _distinct_zeros(zeros + _candidates(*back, lines))
     return zeros, loops
 
 
 def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
     """Track the base zeros to `lines`, refine, deduplicate and classify.
 
-    Every converged endpoint is canonicalized once, and `_distinct_zeros`
-    deduplicates the pool before `_classify`.  While fewer than
-    `opts.expected_count` zeros are found, monodromy loops at the target
-    look for the rest (none when the count is None).  Raises CountMismatch
-    if, after at most `_LOOP_BUDGET` loops, the number of zeros (counted
-    with conjugates) differs from the expected count, or if a non-real
-    zero is left without its conjugate.
+    `_candidates` turns the converged endpoints into zeros, and
+    `_distinct_zeros` deduplicates them before `_classify`.  While fewer
+    than `opts.expected_count` zeros are found, monodromy loops at the
+    target look for the rest (none when the count is None).  Raises
+    CountMismatch if, after at most `_LOOP_BUDGET` loops, the number of
+    zeros (counted with conjugates) differs from the expected count, if a
+    non-real zero is left without its conjugate, or if a zero has
+    |det J| <= DET_FLOOR.
     """
     opts = opts or SolverOptions()
     t0 = time.time()
@@ -614,16 +596,16 @@ def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
     starts = start_solutions(Chart(*opts.chart))
     charts = np.tile(opts.chart, (len(starts), 1))
     target = _unit_rows(_line_arrays(lines))
-    ends = _leg(base_instance()[0], target, starts, charts, opts, rng, paths)
-    zeros = _distinct_zeros(_candidates(*ends, lines, opts), opts.tol_dedup)
+    ends = _leg(base_instance()[0], target, starts, charts, opts.threads, rng, paths)
+    zeros = _distinct_zeros(_candidates(*ends, lines))
     n_base = len(paths)
     loops = 0
     if opts.expected_count is not None:
         zeros, loops = monodromy(
-            lines, zeros, opts.expected_count, _LOOP_BUDGET, opts, rng, paths
+            lines, zeros, opts.expected_count, _LOOP_BUDGET, opts.threads, rng, paths
         )
 
-    reals, pairs, leftovers = _classify(zeros, opts)
+    reals, pairs, leftovers = _classify(zeros)
     solutions = sorted(
         reals + pairs, key=lambda s: (s.chart, _round_key(list(s.a) + list(s.b)))
     )
@@ -631,7 +613,7 @@ def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
     stats = {
         "paths_tracked": len(paths),
         "converged_paths": status.count("converged"),
-        "diverged_paths": status.count("diverged"),
+        "diverged_paths": 0,  # paths end converged or failed; kept for the schema
         "failed_paths": status.count("failed"),
         "retracked": len(paths) - n_base,
         "loops": loops,
@@ -651,23 +633,23 @@ def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
         raise CountMismatch(
             f"{len(leftovers)} non-real zeros without a conjugate; stats={stats}"
         )
-    if any(abs(s.det_jac) <= opts.det_floor for s in solutions):
+    if any(abs(s.det_jac) <= DET_FLOOR for s in solutions):
         raise CountMismatch("a zero with vanishing Jacobian determinant was found")
     return sset
 
 
-def _track_parallel(hom: ParameterHomotopy, starts, charts, opts: SolverOptions):
+def _track_parallel(hom: ParameterHomotopy, starts, charts, threads: int):
     """Partition paths into contiguous blocks per thread; results are
     bitwise independent of the partition, so any thread count gives the
     single-threaded output."""
     n = starts.shape[0]
-    workers = max(1, int(opts.threads))
+    workers = max(1, int(threads))
     if workers == 1 or n < 2 * workers:
-        return _track_block(hom, starts, charts, opts)
+        return _track_block(hom, starts, charts)
     bounds = np.linspace(0, n, workers + 1, dtype=int)
 
     def run(lo, hi):
-        return _track_block(hom, starts[lo:hi], charts[lo:hi], opts)
+        return _track_block(hom, starts[lo:hi], charts[lo:hi])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         blocks = list(pool.map(run, bounds[:-1], bounds[1:]))

@@ -1,0 +1,24 @@
+import json
+
+from conics92.cli import cli_main
+
+
+def test_verify_writes_the_count(tmp_path):
+    out = tmp_path / "verify.json"
+    assert cli_main(["verify", "--seed", "42", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["count"], report["rank"], report["signature"]) == (92, 92, 0)
+
+
+def test_removed_tolerance_flag_is_a_usage_error():
+    assert cli_main(["solve", "--tol-residual", "1e-9"]) == 2
+
+
+def test_gw_expressions(tmp_path):
+    out = tmp_path / "gw.json"
+    assert cli_main(["gw", "46*H", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert (data["rank"], data["signature"]) == (92, 0)
+    assert cli_main(["gw", "<1>+<-1>", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert (data["rank"], data["signature"]) == (2, 0)

@@ -145,8 +145,8 @@ def test_same_zero_in_two_canonical_charts_merges():
     assert v.chart[0] == 1
     assert solver._proj_dist(u.cbar, v.cbar) > 1e-3  # only the transition matches them
     assert projective_pair_dist(u, v) < 1e-9
-    assert _distinct_zeros([u, v], 1e-6) == [u]
-    assert _distinct_zeros([v, u], 1e-6) == [v]
+    assert _distinct_zeros([u, v]) == [u]
+    assert _distinct_zeros([v, u]) == [v]
 
 
 def test_close_real_zeros_stay_distinct():
@@ -157,7 +157,7 @@ def test_close_real_zeros_stay_distinct():
     u = _candidate(abar, cbar, 0, 0, "real")
     moved_plane = _candidate(abar + [0, gap, 0, 0], cbar, 0, 0, "real")
     moved_conic = _candidate(abar, cbar + [0, 0, gap, 0, 0, 0], 0, 0, "real")
-    assert _distinct_zeros([u, moved_plane, moved_conic], 1e-6) == [
+    assert _distinct_zeros([u, moved_plane, moved_conic]) == [
         u,
         moved_plane,
         moved_conic,
@@ -172,25 +172,42 @@ def test_classify_pairs_every_candidate_after_an_unpaired_one():
     z = _candidate(
         [1.0, -0.4 - 0.3j, 0.6, 0.2], [1.0, 0.5, -0.3, 0.1j, 0.2, 0.4], 0, 0, "pair"
     )
-    reals, pairs, leftovers = _classify([real, lonely, z, _conj(z)], SolverOptions())
+    reals, pairs, leftovers = _classify([real, lonely, z, _conj(z)])
     assert reals == [real]
     assert leftovers == [lonely]
     assert len(pairs) == 1
     assert pairs[0].abar == _conj(z).abar  # leading imaginary part positive
 
 
+def test_classify_pairs_conjugates_in_two_canonical_charts():
+    # |a0| = |a1|, so a non-real zero can canonicalize into plane chart 0
+    # and its conjugate into plane chart 1; pairing must compare them as
+    # moduli points, as the dedup does
+    abar = np.array([1.0, 1j, 0.5 + 0.2j, 0.25])
+    cbar0 = np.array([1.0, 0.7j, -0.4, 0.3 + 0.1j, 0.2, -0.9])
+    u = _candidate(abar, cbar0, 0, 0, "pair")
+    cbar1 = np.array(conic_coeffs_transition(tuple(np.conj(abar)), tuple(np.conj(cbar0)), 0, 1))
+    v = _candidate(np.conj(abar), cbar1, 1, int(np.argmax(np.abs(cbar1))), "pair")
+    assert solver._proj_dist(_conj(u).cbar, v.cbar) > 1e-3  # only the transition matches them
+    assert projective_pair_dist(_conj(u), v) < 1e-9
+    reals, pairs, leftovers = _classify([u, v])
+    assert (reals, leftovers) == ([], [])
+    assert pairs == [u]  # leading imaginary part positive
+
+
 def test_unpaired_zero_raises(instances, monkeypatch):
-    canonical = solver._canonical_chart_data
+    chart_candidates = solver._chart_candidates
     dropped = []
 
     def drop_first_nonreal(*args):
-        cand = canonical(*args)
-        if cand is not None and cand.reality == "pair" and not dropped:
-            dropped.append(cand)
-            return None
-        return cand
+        cands = chart_candidates(*args)
+        for k, cand in enumerate(cands):
+            if cand is not None and cand.reality == "pair" and not dropped:
+                dropped.append(cand)
+                cands[k] = None
+        return cands
 
-    monkeypatch.setattr(solver, "_canonical_chart_data", drop_first_nonreal)
+    monkeypatch.setattr(solver, "_chart_candidates", drop_first_nonreal)
     opts = SolverOptions(seed=42, expected_count=None)
     with pytest.raises(CountMismatch, match="1 non-real zeros without a conjugate"):
         solve_all(instances[42].lines, opts)
@@ -251,26 +268,22 @@ def test_base_fixture_is_complete():
     ]
     zeros = solver.base_instance()[1]
     assert zeros.shape == (92, 8)
-    opts = SolverOptions()
     chart = Chart(0, 0)
     system = solver.NumericChartSystem(chart, inst.lines)
-    # the solver's backward-error test for endpoints, here in chart (0, 0)
-    bound = np.maximum(1.0, system.scale_bound(zeros))
-    assert np.all(system.residual(zeros) <= opts.tol_residual * bound)
-    assert all(abs(system.det_jacobian(z)) > opts.det_floor for z in zeros)
-    # in its best chart each zero has an absolute residual below tol_residual
+    assert all(abs(system.det_jacobian(z)) > solver.DET_FLOOR for z in zeros)
+    # in its best chart each zero has an absolute residual below TOL_RESIDUAL
     charts = np.tile((0, 0), (92, 1))
-    cands = solver._candidates(zeros, charts, inst.lines, opts)
+    cands = solver._candidates(zeros, charts, inst.lines)
     assert len(cands) == 92
-    assert _distinct_zeros(cands, opts.tol_dedup) == cands
-    conj = solver._candidates(np.conj(zeros), charts, inst.lines, opts)
-    assert _distinct_zeros(cands + conj, opts.tol_dedup) == cands
+    assert _distinct_zeros(cands) == cands
+    conj = solver._candidates(np.conj(zeros), charts, inst.lines)
+    assert _distinct_zeros(cands + conj) == cands
     point = inst.planted_point
     planted = solver._candidates(
-        [[complex(v) for v in point.a + point.b]], [(point.chart.i, point.chart.j)], inst.lines, opts
+        [[complex(v) for v in point.a + point.b]], [(point.chart.i, point.chart.j)], inst.lines
     )
     assert len(planted) == 1
-    assert _distinct_zeros(cands + planted, opts.tol_dedup) == cands
+    assert _distinct_zeros(cands + planted) == cands
     # tracking may start in any chart
     for i, j in itertools.product(range(4), range(6)):
         assert np.isfinite(solver.start_solutions(Chart(i, j))).all()
