@@ -5,11 +5,13 @@ lines along a single parameter homotopy (Morgan & Sommese 1989): every line
 moves as p(t) = (1-t) p1 + t gamma p0 and s(t) = (1-t) s1 + t s0, from the
 base lines (p0, s0) at t=1 to the target lines (p1, s1) at t=0, each row at
 unit norm; the random complex gamma keeps the path off the discriminant.
-The base and its zeros are the committed fixture `base92.json`, which
-`scripts/make_base92.py` builds by monodromy from one planted zero (Duff et
-al. 2019).  While fewer zeros than expected are found, monodromy loops at
-the target (target -> random complex lines -> target, a fresh gamma per
-leg) recover the lost paths.
+The base is generic: random complex lines, whose 92 zeros are well
+conditioned, so the paths leave them with long steps.  Lines and zeros are
+the committed fixture `base92.json`; `scripts/make_base92.py` reaches them
+by monodromy from one planted real zero (Duff et al. 2019) and keeps the
+draw whose worst zero is best conditioned.  While fewer zeros than expected
+are found, monodromy loops at the target (target -> random complex lines ->
+target, a fresh gamma per leg) recover the lost paths.
 
 Tracking is a 4th-order predictor with a Newton corrector and an adaptive
 step, batched across paths with numpy.  Paths start in the requested chart,
@@ -19,7 +21,8 @@ no path runs off to a chart's infinity.  A path ends "converged" at t=0 or
 (`_candidates`) then moves each endpoint to its best chart, refines the
 endpoints of one chart together, keeps the zeros and classifies them real
 or non-real; `_distinct_zeros` and `_classify` merge the same zero and pair
-conjugates with one same-zero test.
+conjugates with one same-zero test, run only on the pairs whose planes one
+batched comparison finds close.
 
 Conventions: a zero's residual is the max-norm of the section in its best
 chart, where its largest plane and conic coefficients are 1, with each
@@ -94,8 +97,10 @@ def chart_tensor(i: int, p, s) -> np.ndarray:
 
 
 def _line_arrays(lines) -> np.ndarray:
-    """The two points spanning each line as float rows, (2, 8, 4)."""
-    return np.array([[ln.p for ln in lines], [ln.s for ln in lines]], dtype=float)
+    """The two points spanning each line as rows (2, 8, 4), complex when
+    the lines are and float otherwise."""
+    rows = np.array([[ln.p for ln in lines], [ln.s for ln in lines]])
+    return rows if rows.dtype.kind == "c" else rows.astype(float)
 
 
 def _unit_rows(lines: np.ndarray) -> np.ndarray:
@@ -269,12 +274,13 @@ class SolutionSet:
 
 @cache
 def base_instance():
-    """The base lines as unit-norm rows (2, 8, 4) and their 92 zeros in
-    chart (0, 0), read from `base92.json` once per process."""
+    """The base lines, complex unit-norm rows (2, 8, 4), and their 92 zeros
+    in chart (0, 0), read from `base92.json` once per process."""
     with open(os.path.join(os.path.dirname(__file__), "base92.json")) as fh:
         data = json.load(fh)
-    lines = _unit_rows(np.array([[ln[k] for ln in data["lines"]] for k in "ps"], dtype=float))
-    zeros = np.array(data["zeros"]) @ [1, 1j]  # from [re, im] pairs
+    # both are stored as [re, im] pairs
+    lines = _unit_rows(np.array([[ln[k] for ln in data["lines"]] for k in "ps"]) @ [1, 1j])
+    zeros = np.array(data["zeros"]) @ [1, 1j]
     for arr in (lines, zeros):
         arr.setflags(write=False)
     return lines, zeros
@@ -493,14 +499,31 @@ def _same_zero(u: ConicSolution, v: ConicSolution) -> bool:
     return projective_pair_dist(u, v, cutoff=TOL_DEDUP) < TOL_DEDUP
 
 
+def _planes(cands) -> np.ndarray:
+    return np.array([c.abar for c in cands], dtype=complex).reshape(-1, 4)
+
+
+def _near_planes(u, v) -> np.ndarray:
+    """For candidate planes u (m, 4) and v (n, 4), the pairs (m, n) whose
+    plane distance, as `projective_pair_dist(u, v)` takes it, is below
+    2 TOL_DEDUP: the only pairs `_same_zero` can accept (the factor 2
+    covers rounding)."""
+    s = np.argmax(np.abs(u), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = u[:, None] / u[np.arange(len(u)), s, None, None] - v / v[:, s].T[..., None]
+        return np.max(np.abs(gap), axis=2) < 2 * TOL_DEDUP
+
+
 def _distinct_zeros(pool) -> list:
     """The first candidate of each zero, in pool order, whatever chart or
     loop it came from."""
-    out = []
-    for c in pool:
-        if not any(_same_zero(u, c) for u in out):
-            out.append(c)
-    return out
+    planes = _planes(pool)
+    keep = np.zeros(len(pool), dtype=bool)
+    for k, c in enumerate(pool):
+        kept = np.flatnonzero(keep)
+        near = kept[_near_planes(planes[kept], planes[k : k + 1])[:, 0]]
+        keep[k] = not any(_same_zero(pool[u], c) for u in near)
+    return [c for c, kp in zip(pool, keep) if kp]
 
 
 def _classify(cands):
@@ -508,20 +531,15 @@ def _classify(cands):
     conjugate pair, and the non-real candidates left without a conjugate."""
     reals = [c for c in cands if c.reality == "real"]
     nonreal = [c for c in cands if c.reality != "real"]
+    planes = _planes(nonreal)
     used = [False] * len(nonreal)
     pairs, leftovers = [], []
     for idx, cand in enumerate(nonreal):
         if used[idx]:
             continue
         conj = replace(cand, abar=tuple(np.conj(cand.abar)), cbar=tuple(np.conj(cand.cbar)))
-        partner = next(
-            (
-                k
-                for k in range(idx + 1, len(nonreal))
-                if not used[k] and _same_zero(conj, nonreal[k])
-            ),
-            None,
-        )
+        near = np.flatnonzero(_near_planes(_planes([conj]), planes[idx + 1 :])[0]) + idx + 1
+        partner = next((k for k in near if not used[k] and _same_zero(conj, nonreal[k])), None)
         if partner is None:
             leftovers.append(cand)
             continue

@@ -1,6 +1,5 @@
 import itertools
 import json
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -10,7 +9,6 @@ from conics92 import solver
 from conics92.errors import CountMismatch, IncompleteSet
 from conics92.geometry import Chart, Line3, conic_coeffs_transition
 from conics92.gw import EQUAL, GwForm, gw_equal, invariants
-from conics92.harness import gen_planted_instance
 from conics92.solver import (
     ConicSolution,
     ParameterHomotopy,
@@ -195,6 +193,93 @@ def test_classify_pairs_conjugates_in_two_canonical_charts():
     assert pairs == [u]  # leading imaginary part positive
 
 
+def _distinct_zeros_pairwise(pool):
+    """The reference dedup: each candidate against every kept one."""
+    out = []
+    for c in pool:
+        if not any(solver._same_zero(u, c) for u in out):
+            out.append(c)
+    return out
+
+
+def _classify_pairwise(cands):
+    """The reference classification: each conjugate against every later
+    non-real candidate."""
+    reals = [c for c in cands if c.reality == "real"]
+    nonreal = [c for c in cands if c.reality != "real"]
+    used = [False] * len(nonreal)
+    pairs, leftovers = [], []
+    for idx, cand in enumerate(nonreal):
+        if used[idx]:
+            continue
+        conj = _conj(cand)
+        partner = next(
+            (
+                k
+                for k in range(idx + 1, len(nonreal))
+                if not used[k] and solver._same_zero(conj, nonreal[k])
+            ),
+            None,
+        )
+        if partner is None:
+            leftovers.append(cand)
+            continue
+        used[idx] = used[partner] = True
+        lead = next((v for v in np.imag(cand.a + cand.b) if abs(v) > solver.REAL_TOL), 0.0)
+        pairs.append(cand if lead >= 0 else nonreal[partner])
+    return reals, pairs, leftovers
+
+
+def _in_chart(abar, cbar, i, reality):
+    """The zero (abar, cbar in the chart-0 plane coordinates) as a candidate
+    in plane chart i, canonical in the conic chart."""
+    cbar_i = np.array(conic_coeffs_transition(tuple(abar), tuple(cbar), 0, i))
+    return _candidate(abar, cbar_i, i, int(np.argmax(np.abs(cbar_i))), reality)
+
+
+def test_prefiltered_dedup_matches_the_pairwise_reference():
+    rng = np.random.default_rng(11)
+    pool = []
+    for k in range(20):
+        real = k % 3 == 0
+        abar = rng.standard_normal(4) + (0 if real else 1j * rng.standard_normal(4))
+        cbar = rng.standard_normal(6) + (0 if real else 1j * rng.standard_normal(6))
+        abar, cbar = abar / abar[0], cbar / cbar[0]
+        reality = "real" if real else "pair"
+        i, i2 = np.argsort(-np.abs(abar))[:2]
+        # steps off the largest plane coefficient, relative to it, and
+        # relative to the largest conic coefficient
+        da = abar[i] * np.delete(np.eye(4), i, axis=0)
+        dc = np.max(np.abs(cbar)) * np.eye(6)[3]
+        zero = [_in_chart(abar, cbar, i, reality)]
+        # the same zero in a second plane chart, moved by 1e-9 and 1e-7, and
+        # its plane alone moved by 8e-7
+        zero.append(_in_chart(abar, cbar, i2, reality))
+        zero.append(_in_chart(abar * (1 + 1e-9 * rng.standard_normal(4)), cbar, i, reality))
+        zero.append(_in_chart(abar + 1e-7 * da[0], cbar, i2, reality))
+        zero.append(_candidate(abar + 8e-7 * da[0], zero[0].cbar, *zero[0].chart, reality))
+        # near misses: plane or conic 5e-5 away, and a plane 1.5e-6 away,
+        # which passes the plane prefilter and fails the same-zero test
+        zero.append(_in_chart(abar + 5e-5 * da[1], cbar, i, reality))
+        zero.append(_in_chart(abar, cbar + 5e-5 * dc, i2, reality))
+        zero.append(_in_chart(abar + 1.5e-6 * da[2], cbar, i, reality))
+        if not real:
+            zero += [_conj(c) for c in zero]
+        pool += zero
+    for order in range(3):
+        if order:
+            pool = [pool[k] for k in rng.permutation(len(pool))]
+        distinct = _distinct_zeros(pool)
+        assert distinct == _distinct_zeros_pairwise(pool)
+        assert _classify(distinct) == _classify_pairwise(distinct)
+    # every zero keeps one candidate and its three near misses, non-real
+    # zeros twice over with their conjugates; every conjugate is paired
+    n_real = len(range(0, 20, 3))
+    assert len(distinct) == 4 * n_real + 8 * (20 - n_real)
+    reals, pairs, leftovers = _classify(distinct)
+    assert (len(reals), len(pairs), leftovers) == (4 * n_real, 4 * (20 - n_real), [])
+
+
 def test_unpaired_zero_raises(instances, monkeypatch):
     chart_candidates = solver._chart_candidates
     dropped = []
@@ -262,28 +347,33 @@ def test_homotopy_derivatives_match_finite_differences():
 
 def test_base_fixture_is_complete():
     data = json.loads(resources.files("conics92").joinpath("base92.json").read_text())
-    inst = gen_planted_instance(data["seed"])
-    assert [[ln.p, ln.s] for ln in inst.lines] == [
-        [tuple(map(Fraction, ln["p"])), tuple(map(Fraction, ln["s"]))] for ln in data["lines"]
-    ]
-    zeros = solver.base_instance()[1]
+    rows, zeros = solver.base_instance()
+    # the lines are the recorded draw of scripts/make_base92.py
+    z = np.random.default_rng(data["draw"]).standard_normal((2, 2, 8, 4))
+    assert np.allclose(rows, solver._unit_rows(z[0] + 1j * z[1]), rtol=0, atol=1e-15)
     assert zeros.shape == (92, 8)
-    chart = Chart(0, 0)
-    system = solver.NumericChartSystem(chart, inst.lines)
+    lines = [Line3(tuple(p), tuple(s)) for p, s in zip(*rows)]
+    system = solver.NumericChartSystem(Chart(0, 0), lines)
     assert all(abs(system.det_jacobian(z)) > solver.DET_FLOOR for z in zeros)
     # in its best chart each zero has an absolute residual below TOL_RESIDUAL
-    charts = np.tile((0, 0), (92, 1))
-    cands = solver._candidates(zeros, charts, inst.lines)
+    cands = solver._candidates(zeros, np.tile((0, 0), (92, 1)), lines)
     assert len(cands) == 92
+    assert all(c.residual <= solver.TOL_RESIDUAL for c in cands)
+    assert all(abs(c.det_jac) > solver.DET_FLOOR for c in cands)
+    for z, c in zip(zeros, cands):
+        assert np.allclose(solver._to_chart(z, (0, 0), c.chart)[1], c.a + c.b, rtol=0, atol=1e-12)
     assert _distinct_zeros(cands) == cands
-    conj = solver._candidates(np.conj(zeros), charts, inst.lines)
-    assert _distinct_zeros(cands + conj) == cands
-    point = inst.planted_point
-    planted = solver._candidates(
-        [[complex(v) for v in point.a + point.b]], [(point.chart.i, point.chart.j)], inst.lines
-    )
-    assert len(planted) == 1
-    assert _distinct_zeros(cands + planted) == cands
+    # H_x at every base zero in its best chart is no worse conditioned than
+    # the recorded draw's largest condition number
+    cond = [
+        np.linalg.cond(
+            solver.NumericChartSystem(Chart(*c.chart), lines).eval(
+                np.array([c.a + c.b]), jac=True, raw=True
+            )[1][0]
+        )
+        for c in cands
+    ]
+    assert max(cond) <= data["cond"]
     # tracking may start in any chart
     for i, j in itertools.product(range(4), range(6)):
         assert np.isfinite(solver.start_solutions(Chart(i, j))).all()
