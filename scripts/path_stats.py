@@ -2,9 +2,9 @@
 
 For each seed from FIRST to LAST it solves gen_random_instance(seed, 10)
 with SolverOptions(seed=seed) and prints the path-steps (summed over every
-tracked path), the block iterations (iterations of the batched tracker,
-summed over its calls), the monodromy loops and the wall time, then the
-totals.  A seed whose solve raises is reported and counted as failed.
+tracked path), the homotopy rows evaluated per path-step, the block
+iterations (iterations of the batched tracker, summed over its calls), the
+monodromy loops and the wall time, then the totals.  A seed whose solve raises is reported and counted as failed.
 
 --save FILE writes the solutions of every seed as JSON.  --compare FILE
 checks them against a file saved under another tree: every seed must match
@@ -84,8 +84,8 @@ def main(argv=None) -> int:
 
     solver._track_block = counted
     saved, bad = {}, 0
-    totals = dict(steps=0, iterations=0, loops=0, seconds=0.0)
-    header = f"{'seed':>5} {'steps':>8} {'iters':>6} {'loops':>5} {'wall_s':>7}"
+    totals = dict(steps=0, rows=0, iterations=0, loops=0, seconds=0.0)
+    header = f"{'seed':>5} {'steps':>8} {'rows/st':>7} {'iters':>6} {'loops':>5} {'wall_s':>7}"
     print(header + ("  match" if args.compare else ""))
     for seed in range(args.first, args.last + 1):
         inst = gen_random_instance(seed, 10)
@@ -98,14 +98,16 @@ def main(argv=None) -> int:
             bad += 1
             continue
         row = dict(
-            steps=sum(p.steps for p in sset.paths),
+            steps=sset.stats["path_steps"],
+            rows=sset.stats["eval_rows"],
             iterations=sum(iterations),
             loops=sset.stats["loops"],
             seconds=time.perf_counter() - t0,
         )
         for key, value in row.items():
             totals[key] += value
-        line = f"{seed:>5} {row['steps']:>8} {row['iterations']:>6} {row['loops']:>5} {row['seconds']:>7.2f}"
+        per_step = row["rows"] / max(row["steps"], 1)
+        line = f"{seed:>5} {row['steps']:>8} {per_step:>7.2f} {row['iterations']:>6} {row['loops']:>5} {row['seconds']:>7.2f}"
         saved[str(seed)] = sset.to_json()
         if args.compare:
             other = reference.get(str(seed))
@@ -118,7 +120,8 @@ def main(argv=None) -> int:
         print(line)
     n = len(saved)
     print(
-        f"total {totals['steps']:>8} {totals['iterations']:>6} {totals['loops']:>5}"
+        f"total {totals['steps']:>8} {totals['rows'] / max(totals['steps'], 1):>7.2f}"
+        f" {totals['iterations']:>6} {totals['loops']:>5}"
         f" {totals['seconds']:>7.2f}  ({n} seeds solved, mean {totals['steps'] / max(n, 1):.0f} steps per seed)"
     )
     if args.save:

@@ -1,4 +1,5 @@
-"""Shared test utilities: an expanded-polynomial oracle and set matching."""
+"""Shared test utilities: an expanded-polynomial oracle, set matching, an
+exact relative residual and the reference tracker."""
 
 from __future__ import annotations
 
@@ -6,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from conics92.geometry import Line3, insert_one
-from conics92.section import SectionSystem
+from conics92.geometry import Chart, ChartPoint, Line3, insert_one
+from conics92.section import SectionSystem, eval_section, monomial_vector
+from conics92 import solver
 from conics92.solver import ConicSolution, projective_pair_dist
 
 
@@ -175,3 +177,87 @@ def match_solution_sets(sa, sb, tol=1e-6) -> bool:
             return False
         used.add(hit)
     return True
+
+
+def relative_section_residual(lines, sol: ConicSolution) -> float:
+    """The largest |component| of the exact section at a solution, each
+    relative to the sum of the magnitudes of its terms: the measure of the
+    benchmark's output check, small only where every line's own equation
+    holds to its digits."""
+    chart = Chart(*sol.chart)
+    point = ChartPoint(chart, tuple(map(complex, sol.a)), tuple(map(complex, sol.b)))
+    system = SectionSystem(chart, lines)
+    coeffs = system.coefficients(point)
+    worst = 0.0
+    for value, z in zip(eval_section(system, point), system.point_reps(point)):
+        terms = sum(abs(c) * abs(m) for c, m in zip(coeffs, monomial_vector(z)))
+        worst = max(worst, abs(value) / terms if terms else abs(value))
+    return worst
+
+
+def reference_track_block(hom, starts, charts):
+    """The tracker as it was before each step shared z(t) and stopped its
+    corrector early: RK4 with four fresh tangent solves, then three Newton
+    corrections that always run; returns the status, endpoint, chart and
+    step count of each path."""
+    n = starts.shape[0]
+    x = starts.astype(complex)
+    charts = charts.copy()
+    t = np.ones(n)
+    dt = np.full(n, solver._DT_INIT)
+    nsucc = np.zeros(n, dtype=int)
+    steps = np.zeros(n, dtype=int)
+    status = np.full(n, solver._ACTIVE, dtype=int)
+
+    def h_eval(xs, ts, cs):
+        return hom.eval(xs, cs[:, 1], *hom.at(ts, cs[:, 0]))
+
+    def h_tangent(xs, ts, cs):
+        _, hx, ht = h_eval(xs, ts, cs)
+        return solver._batch_solve(hx, ht)
+
+    def h_newton(xs, ts, cs):
+        h, hx, _ = h_eval(xs, ts, cs)
+        return solver._batch_solve(hx, h)
+
+    while True:
+        idx = np.flatnonzero(status == solver._ACTIVE)
+        if idx.size == 0:
+            break
+        for k in idx[np.max(np.abs(x[idx]), axis=1) > solver._CHART_NORM]:
+            charts[k], x[k] = solver._to_chart(x[k], charts[k])
+        xs, ts, cs, hs = x[idx], t[idx], charts[idx], np.minimum(dt[idx], t[idx])
+
+        k1 = h_tangent(xs, ts, cs)
+        k2 = h_tangent(xs + (hs / 2)[:, None] * k1, ts - hs / 2, cs)
+        k3 = h_tangent(xs + (hs / 2)[:, None] * k2, ts - hs / 2, cs)
+        k4 = h_tangent(xs + hs[:, None] * k3, ts - hs, cs)
+        xp = xs + (hs / 6)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
+        tn = ts - hs
+
+        delta = None
+        for _ in range(solver._CORRECTOR_ITERS):
+            delta = h_newton(xp, tn, cs)
+            xp = xp - delta
+        ok = np.isfinite(xp).all(axis=1)
+        move = np.max(np.abs(delta), axis=1)
+        ok &= move <= 1e-8 * (1 + np.max(np.abs(xp), axis=1))
+
+        acc = idx[ok]
+        x[acc] = xp[ok]
+        t[acc] = tn[ok]
+        nsucc[acc] += 1
+        grow = acc[nsucc[acc] >= solver._GROW_AFTER]
+        dt[grow] = np.minimum(dt[grow] * 1.5, solver._DT_MAX)
+        nsucc[grow] = 0
+        rej = idx[~ok]
+        dt[rej] *= 0.5
+        nsucc[rej] = 0
+        status[rej[dt[rej] < solver._DT_MIN]] = solver._FAILED
+
+        steps[idx] += 1
+        status[idx[steps[idx] >= solver._MAX_STEPS]] = solver._FAILED
+        done = idx[t[idx] <= 0]
+        status[done[status[done] == solver._ACTIVE]] = solver._REACHED
+
+    return status, x, charts, steps

@@ -20,7 +20,7 @@ from conics92.solver import (
     projective_pair_dist,
 )
 
-from helpers import match_solution_sets
+from helpers import match_solution_sets, reference_track_block, relative_section_residual
 
 
 def test_solve_seed42_contract(solutions):
@@ -33,6 +33,17 @@ def test_solve_seed42_contract(solutions):
     r = len(sset.real_solutions)
     assert r % 2 == 0  # conjugation forces an even real count... of non-reals
     assert r + 2 * len(sset.pair_solutions) == 92
+
+
+def test_stats_count_steps_and_evaluated_rows(solutions):
+    sset = solutions(42)
+    stats = sset.stats
+    assert stats["path_steps"] == sum(p.steps for p in sset.paths)
+    assert stats["eval_rows"] == sum(p.eval_rows for p in sset.paths)
+    # each step evaluates its predictor's k2, k3 and k4 and one to three
+    # corrector iterates; k1 comes from the last step's corrector, and is
+    # evaluated afresh only at a path's first step and after a chart switch
+    assert 4 * stats["path_steps"] < stats["eval_rows"] < 6 * stats["path_steps"]
 
 
 def test_conjugation_closure(solutions):
@@ -328,21 +339,60 @@ def test_homotopy_derivatives_match_finite_differences():
     x = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
     t = rng.random(6)
     charts = np.array([(0, 0), (2, 4), (3, 5), (1, 2), (0, 3), (2, 1)])
-    h, hx, ht = hom.eval(x, t, charts)
+    planes, conics = charts.T
+
+    def h(x, t):
+        return hom.eval(x, conics, *hom.at(t, planes))
+
+    _, hx, ht = h(x, t)
+    assert hom.eval(x, conics, hom.at(t, planes)[0])[2] is None  # H_t only on request
     eps = 1e-6
-    dt = (hom.eval(x, t + eps, charts)[0] - hom.eval(x, t - eps, charts)[0]) / (2 * eps)
+    dt = (h(x, t + eps)[0] - h(x, t - eps)[0]) / (2 * eps)
     assert np.allclose(ht, dt, rtol=1e-7, atol=1e-8)
     for v in range(8):
         e = np.zeros(8)
         e[v] = eps
-        dx = (hom.eval(x + e, t, charts)[0] - hom.eval(x - e, t, charts)[0]) / (2 * eps)
+        dx = (h(x + e, t)[0] - h(x - e, t)[0]) / (2 * eps)
         assert np.allclose(hx[:, :, v], dx, rtol=1e-7, atol=1e-8)
     # at t=0 each point sees the chart system of the end lines
-    h0, hx0, _ = hom.eval(x, np.zeros(6), charts)
+    h0, hx0, _ = h(x, np.zeros(6))
     lines = [Line3(tuple(p), tuple(s)) for p, s in zip(*end)]
     for k, (i, j) in enumerate(charts):
         phi, jphi = solver.NumericChartSystem(Chart(i, j), lines).eval(x[k : k + 1], jac=True, raw=True)
         assert np.allclose(h0[k], phi[0]) and np.allclose(hx0[k], jphi[0])
+
+
+@pytest.mark.parametrize("seed", [42, 46])
+def test_tracker_takes_the_reference_steps(instances, seed):
+    # sharing z(t) within a step, stopping the corrector once its move
+    # passes and taking k1 from the corrector's last solve change what a
+    # step costs, not which steps a path takes
+    rng = np.random.default_rng([seed, 0x5EED])
+    gamma = complex(np.exp(2j * np.pi * rng.random()))
+    target = solver._unit_rows(solver._line_arrays(instances[seed].lines))
+    hom = ParameterHomotopy(solver.base_instance()[0], target, gamma)
+    starts = solver.start_solutions(Chart(0, 0))
+    charts = np.tile((0, 0), (len(starts), 1))
+    status, x, ends, steps, rows = solver._track_block(hom, starts, charts)
+    ref_status, ref_x, ref_ends, ref_steps = reference_track_block(hom, starts, charts)
+    assert (status == ref_status).all() and (status == solver._REACHED).all()
+    assert (steps == ref_steps).all()
+    assert (ends == ref_ends).all()
+    assert np.max(np.abs(x - ref_x)) <= 1e-8
+    assert rows.sum() < 6 * steps.sum()
+
+
+def test_endpoint_stage_settles_zeros_near_a_line(instances, solutions):
+    # seed 46 has two real zeros on a plane that nearly contains line 5;
+    # the scaled residual passes there long before each line's relative
+    # residual does, so refinement takes one more step after it passes
+    lines = instances[46].lines
+    sols = solutions(46).solutions
+    x = np.array([s.a + s.b for s in sols], dtype=complex)
+    noise = np.random.default_rng(46).standard_normal(x.shape + (2,)) @ [1, 1j]
+    cands = solver._candidates(x * (1 + 1e-9 * noise), [s.chart for s in sols], lines)
+    assert len(cands) == len(sols)
+    assert max(relative_section_residual(lines, c) for c in cands) <= 1e-10
 
 
 def test_base_fixture_is_complete():
