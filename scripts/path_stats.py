@@ -30,7 +30,7 @@ from conics92 import solver  # noqa: E402
 from conics92.fields import complex_from_json  # noqa: E402
 from conics92.geometry import insert_one  # noqa: E402
 from conics92.harness import gen_random_instance  # noqa: E402
-from helpers import match_solution_sets  # noqa: E402
+from helpers import match_solution_sets, same_real_zeros  # noqa: E402
 
 TOL = 1e-9
 
@@ -55,14 +55,6 @@ def _from_json(data: dict) -> solver.SolutionSet:
             )
         )
     return solver.SolutionSet(solutions=sols, paths=[], stats=data["stats"])
-
-
-def _same_real_zeros(sa, sb) -> bool:
-    ra, rb = sa.real_solutions, sb.real_solutions
-    return len(ra) == len(rb) and all(
-        any(v.sign == u.sign and solver.projective_pair_dist(u, v) < TOL for v in rb)
-        for u in ra
-    )
 
 
 def main(argv=None) -> int:
@@ -113,7 +105,7 @@ def main(argv=None) -> int:
             other = reference.get(str(seed))
             ok = other is not None and (
                 match_solution_sets(sset, _from_json(other), tol=TOL)
-                and _same_real_zeros(sset, _from_json(other))
+                and same_real_zeros(sset, _from_json(other), tol=TOL)
             )
             bad += not ok
             line += "  ok" if ok else "  MISMATCH"

@@ -26,8 +26,6 @@ from .geometry import (
     meet_plane,
     meet_plane_oracle,
     plane_coords,
-    trivialization_point,
-    trivialization_value,
 )
 from .gw import (
     EQUAL,
@@ -56,12 +54,9 @@ from .section import (
     JacobianRecord,
     LocalIndex,
     SectionSystem,
-    conic_through_5,
     eval_section,
     jacobian,
-    jacobian_via_laplace,
     local_index,
-    tangent_diagnostics,
 )
 from .solver import (
     ConicSolution,

@@ -16,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DegeneratePoint,
-    LineInPlane,
-    NotInChart,
-)
+from .errors import LineInPlane, NotInChart
 from .fields import PrimeFieldElement, QuadExtElement
 from .linalg import det
 
@@ -214,15 +210,6 @@ def conic_value(coeffs, z):
     )
 
 
-def conic_gradient(coeffs, z) -> tuple:
-    z0, z1, z2 = z
-    return (
-        2 * coeffs[0] * z0 + coeffs[4] * z2 + coeffs[5] * z1,
-        2 * coeffs[1] * z1 + coeffs[3] * z2 + coeffs[5] * z0,
-        2 * coeffs[2] * z2 + coeffs[3] * z1 + coeffs[4] * z0,
-    )
-
-
 def conic_sym_matrix(coeffs):
     """3x3 symmetric matrix of the quadratic (needs 2 invertible)."""
     b0, b1, b2, b3, b4, b5 = coeffs
@@ -274,58 +261,6 @@ def conic_coeffs_transition(a, coeffs, i_from: int, i_to: int):
         for u in range(3)
     ]
     return conic_coeffs_from_sym(out)
-
-
-# ---------------------------------------------------------------------------
-# trivializing points
-# ---------------------------------------------------------------------------
-
-def trivialization_point(chart: Chart, plane: Plane3) -> tuple:
-    """Distinguished point of the chart's reference locus on the plane.
-
-    For j <= 2 the locus is the coordinate line where both other plane
-    coordinates vanish; for j >= 3 it is the line where coordinate j-3
-    vanishes and the remaining two are equal.
-    """
-    i, j = chart.i, chart.j
-    a = plane.a
-    keep = PLANE_COORD_INDICES[i]
-    zero = a[0] * 0
-    pt = [zero, zero, zero, zero]
-    if j <= 2:
-        u = keep[j]
-        pt[u] = a[i] + zero
-        pt[i] = -a[u]
-    else:
-        u = keep[j - 3]
-        v, w = (amb for amb in keep if amb != u)
-        pt[v] = a[i] + zero
-        pt[w] = a[i] + zero
-        pt[i] = -(a[v] + a[w])
-    if all(x == 0 for x in pt):
-        raise DegeneratePoint(f"trivialization point degenerates in chart ({i},{j})")
-    return tuple(pt)
-
-
-def trivialization_value(chart: Chart, a, coeffs):
-    """Value of the trivializing section at (H_a, q_coeffs).
-
-    Evaluating the conic at the chart's reference point isolates a_i^2*b_j
-    for the square-monomial charts; the cross-term charts subtract the two
-    square contributions picked up at their reference point.  The result is
-    identically a_i^2 * b_j.
-    """
-    i, j = chart.i, chart.j
-    plane = Plane3(tuple(a))
-    val = conic_value(coeffs, plane_coords(i, trivialization_point(chart, plane)))
-    if j >= 3:
-        for jj in range(3):
-            if jj != j - 3:
-                sq = conic_value(
-                    coeffs, plane_coords(i, trivialization_point(Chart(i, jj), plane))
-                )
-                val = val - sq
-    return val
 
 
 # ---------------------------------------------------------------------------

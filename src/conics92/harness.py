@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -29,7 +30,6 @@ from .fields import (
     QuadExtField,
     rational_from_str,
     rational_to_str,
-    square_class,
 )
 from .geometry import (
     PLANE_COORD_INDICES,
@@ -50,9 +50,16 @@ from .geometry import (
 )
 from .gw import EQUAL, GwForm, gw_equal, invariants
 from .linalg import adjugate3, det
-from .section import SectionSystem, eval_section, jacobian, monomial_vector
+from .section import (
+    SectionSystem,
+    chart_tensor,
+    eval_section,
+    jacobian,
+    monomial_vector,
+    monomials,
+)
 from .solver import (
-    DET_FLOOR,
+    SIGMA_FLOOR,
     TOL_RESIDUAL,
     NumericChartSystem,
     SolverOptions,
@@ -393,14 +400,6 @@ class BruteForceSolution:
     chart_points: dict  # (i,j) -> ChartPoint
     chart_dets: dict  # (i,j) -> field element
 
-    def square_classes(self) -> dict:
-        """Square class of the Jacobian determinant in each chart that
-        contains the zero; empty for a singular zero, whose determinant
-        is 0 in every such chart."""
-        return {
-            ch: square_class(d) for ch, d in self.chart_dets.items() if d != 0
-        }
-
 
 def _enumerate_planes_int(p: int) -> np.ndarray:
     reps = []
@@ -442,6 +441,7 @@ def brute_force_fq(instance: Instance, p: int, degree: int = 1) -> list:
     elif instance.field != f"F{p}":
         raise ValueError(f"instance is over {instance.field}, not F{p} or Q")
 
+    lines = instance.lines
     if degree == 1:
         sols_raw = _brute_force_fp(instance, p)
         fld = PrimeField(p)
@@ -450,19 +450,14 @@ def brute_force_fq(instance: Instance, p: int, degree: int = 1) -> list:
         sols_raw = _brute_force_fp2(instance, p)
         ext = QuadExtField(p)
         mk = lambda v: ext(int(v[0]), int(v[1]))
-
-    lines = instance.lines
+        lift = lambda pt: tuple(ext(v.value) for v in pt)
+        lines = [Line3(lift(ln.p), lift(ln.s)) for ln in lines]
+    # each chart's system is built once, for every zero in that chart
+    system = cache(lambda i, j: SectionSystem(Chart(i, j), lines))
     out = []
     for plane_raw, conic_raw, istar in sols_raw:
         plane_v = tuple(mk(v) for v in plane_raw)
         conic_v = tuple(mk(v) for v in conic_raw)
-        if degree == 2:
-            lines_l = [
-                Line3(tuple(mk((v.value, 0)) for v in ln.p), tuple(mk((v.value, 0)) for v in ln.s))
-                for ln in lines
-            ]
-        else:
-            lines_l = list(lines)
         chart_points = {}
         chart_dets = {}
         for i in range(4):
@@ -472,11 +467,9 @@ def brute_force_fq(instance: Instance, p: int, degree: int = 1) -> list:
             for j in range(6):
                 if coeffs_i[j] == 0:
                     continue
-                chart = Chart(i, j)
-                pt = chart_coords(Plane3(plane_v), coeffs_i, chart)
-                system = SectionSystem(chart, lines_l)
+                pt = chart_coords(Plane3(plane_v), coeffs_i, Chart(i, j))
                 chart_points[(i, j)] = pt
-                chart_dets[(i, j)] = jacobian(system, pt).determinant
+                chart_dets[(i, j)] = jacobian(system(i, j), pt).determinant
         out.append(
             BruteForceSolution(
                 plane=plane_v,
@@ -489,45 +482,35 @@ def brute_force_fq(instance: Instance, p: int, degree: int = 1) -> list:
     return out
 
 
-def _line_int_coords(instance: Instance) -> list:
-    out = []
-    for ln in instance.lines:
-        out.append(
-            (
-                [v.value for v in ln.p],
-                [v.value for v in ln.s],
-            )
-        )
-    return out
+def _line_rows(instance: Instance) -> np.ndarray:
+    """The reduced lines as integer rows (2, 8, 4): the points p, then s."""
+    return np.array([[[v.value for v in getattr(ln, k)] for ln in instance.lines] for k in "ps"])
+
+
+def _meet_points(lines, i: int, planes, p: int) -> np.ndarray:
+    """The chart-i points (P, 8, 3) mod p where the lines, integer rows
+    (2, 8, 4), meet the planes (P, 4).  A line lies in its plane exactly
+    when all three coordinates of its point are 0."""
+    cols = (i,) + PLANE_COORD_INDICES[i]
+    return np.einsum("nrc,Pc->Pnr", chart_tensor(i, *lines), planes[:, cols]) % p
 
 
 def _brute_force_fp(instance: Instance, p: int) -> list:
     planes = _enumerate_planes_int(p)
     conics = _enumerate_conics_int(p).astype(np.float64)
-    lines = _line_int_coords(instance)
-    fld = PrimeField(p)
+    lines = _line_rows(instance)
+    lead = np.argmax(planes != 0, axis=1)
     results = []
-    for plane in planes:
-        a = [fld(int(v)) for v in plane]
-        pl = Plane3(tuple(a))
-        istar = next(k for k in range(4) if plane[k] != 0)
-        mons = np.empty((8, 6), dtype=np.float64)
-        contained = False
-        for n, (pp, ss) in enumerate(lines):
-            ln = Line3(tuple(fld(v) for v in pp), tuple(fld(v) for v in ss))
-            try:
-                x = meet_plane_oracle(ln, pl)
-            except Exception:
-                contained = True
-                break
-            z = plane_coords(istar, x)
-            mons[n] = [float(m.value) for m in monomial_vector(z)]
-        if contained:
-            continue
-        vals = conics @ mons.T % p
-        hits = np.flatnonzero(np.all(vals == 0, axis=1))
-        for h in hits:
-            results.append((tuple(int(v) for v in plane), tuple(int(v) for v in conics[h].astype(int)), istar))
+    for istar in range(4):
+        block = planes[lead == istar]
+        z = _meet_points(lines, istar, block, p)
+        mons = (monomials(z) % p).astype(np.float64)
+        meets = z.any(axis=2).all(axis=1)  # no line lies in the plane
+        for plane, mon in zip(block[meets], mons[meets]):
+            vals = conics @ mon.T % p
+            hits = np.flatnonzero(np.all(vals == 0, axis=1))
+            for h in hits:
+                results.append((tuple(int(v) for v in plane), tuple(int(v) for v in conics[h].astype(int)), istar))
     return results
 
 
@@ -551,42 +534,32 @@ def _enumerate_pairs_int(p: int, width: int) -> tuple:
 
 
 def _brute_force_fp2(instance: Instance, p: int) -> list:
-    ext = QuadExtField(p)
-    gamma = ext.gamma  # t^2 = -gamma
+    gamma = QuadExtField(p).gamma  # t^2 = -gamma
     planes0, planes1 = _enumerate_pairs_int(p, 4)
     conics0, conics1 = _enumerate_pairs_int(p, 6)
-    lines = _line_int_coords(instance)
+    lines = _line_rows(instance)
+    lead = np.argmax(planes0 != 0, axis=1)
     results = []
-    for a0, a1 in zip(planes0.astype(int), planes1.astype(int)):
-        a = tuple(ext(int(a0[k]), int(a1[k])) for k in range(4))
-        pl = Plane3(a)
-        istar = next(k for k in range(4) if not (a0[k] == 0 and a1[k] == 0))
-        mon0 = np.empty((8, 6), dtype=np.float64)
-        mon1 = np.empty((8, 6), dtype=np.float64)
-        contained = False
-        for n, (pp, ss) in enumerate(lines):
-            ln = Line3(tuple(ext(v, 0) for v in pp), tuple(ext(v, 0) for v in ss))
-            try:
-                x = meet_plane_oracle(ln, pl)
-            except Exception:
-                contained = True
-                break
-            z = plane_coords(istar, x)
-            mv = monomial_vector(z)
-            mon0[n] = [m.c0 for m in mv]
-            mon1[n] = [m.c1 for m in mv]
-        if contained:
-            continue
-        # (c0 + c1 t)(m0 + m1 t) with t^2 = -gamma
-        v0 = (conics0 @ mon0.T - gamma * (conics1 @ mon1.T)) % p
-        v1 = (conics0 @ mon1.T + conics1 @ mon0.T) % p
-        hits = np.flatnonzero(np.all((v0 == 0) & (v1 == 0), axis=1))
-        for h in hits:
-            conic = tuple(
-                (int(conics0[h][k]), int(conics1[h][k])) for k in range(6)
-            )
-            plane_pair = tuple((int(a0[k]), int(a1[k])) for k in range(4))
-            results.append((plane_pair, conic, istar))
+    for istar in range(4):
+        a0, a1 = (planes[lead == istar].astype(int) for planes in (planes0, planes1))
+        # the plane a0 + a1 t meets line n at z0 + z1 t, with t^2 = -gamma;
+        # its monomials m0 + m1 t are one F_{p^2} product
+        z0, z1 = _meet_points(lines, istar, a0, p), _meet_points(lines, istar, a1, p)
+        m00, m11 = monomials(z0), monomials(z1)
+        mons0 = ((m00 - gamma * m11) % p).astype(np.float64)
+        mons1 = ((monomials(z0 + z1) - m00 - m11) % p).astype(np.float64)
+        meets = ((z0 != 0) | (z1 != 0)).any(axis=2).all(axis=1)  # no line lies in the plane
+        for b0, b1, mon0, mon1 in zip(a0[meets], a1[meets], mons0[meets], mons1[meets]):
+            # (c0 + c1 t)(m0 + m1 t) with t^2 = -gamma
+            v0 = (conics0 @ mon0.T - gamma * (conics1 @ mon1.T)) % p
+            v1 = (conics0 @ mon1.T + conics1 @ mon0.T) % p
+            hits = np.flatnonzero(np.all((v0 == 0) & (v1 == 0), axis=1))
+            for h in hits:
+                conic = tuple(
+                    (int(conics0[h][k]), int(conics1[h][k])) for k in range(6)
+                )
+                plane_pair = tuple((int(u), int(v)) for u, v in zip(b0, b1))
+                results.append((plane_pair, conic, istar))
     return results
 
 
@@ -749,8 +722,8 @@ def verify(instance: Instance, opts: SolverOptions | None = None) -> Verificatio
 
     res_max = max((s.residual for s in sset.solutions), default=0.0)
     check("residuals", res_max < TOL_RESIDUAL, TOL_RESIDUAL, f"max={res_max:.2e}")
-    det_min = min((abs(s.det_jac) for s in sset.solutions), default=np.inf)
-    check("jacobians_nonzero", det_min > DET_FLOOR, DET_FLOOR, f"min={det_min:.2e}")
+    sigma = min((s.sigma_min for s in sset.solutions), default=np.inf)
+    check("jacobians_nonzero", sigma > SIGMA_FLOOR, SIGMA_FLOOR, f"min sigma={sigma:.2e}")
     check("real_balance", pos == neg, 0, f"pos={pos} neg={neg}")
     check(
         "signature_zero",

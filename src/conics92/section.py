@@ -1,18 +1,27 @@
-"""Evaluation of the incidence section and its Jacobian in a fixed chart.
+"""The incidence section and its Jacobian in a fixed chart, for every scalar.
 
 Component n of the section is the chart-normalized conic evaluated at a
 fixed affine representative of the intersection of line n with the moving
 plane.  That representative is affine-linear in the plane coordinates, so
 each component is a polynomial of total degree 3 in (a1,a2,a3,b1,...,b5).
+
+This module holds the one section kernel: `chart_tensor`, `_plane_and_conic`,
+`_chart_points`, `_section` (with `monomials`), `_gradient`, `_plane_columns`
+and `_jacobian`.  They are plain numpy array code, so the same functions
+serve every scalar: float and complex arrays in the tracker
+(`solver.NumericChartSystem`, `solver.ParameterHomotopy`), object arrays of
+Fraction, PrimeFieldElement or QuadExtElement in the exact `SectionSystem`,
+and integer arrays mod p in the brute-force monomials (`harness`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .errors import ConePoint, DegenerateConfiguration, SingularZero
+import numpy as np
+
+from .errors import SingularZero
 from .fields import (
     COMPLEX,
     RATIONAL,
@@ -21,19 +30,74 @@ from .fields import (
     QuadExtElement,
     prime_field_tag,
     quad_ext_tag,
-    square_class,
 )
-from .geometry import (
-    Chart,
-    ChartPoint,
-    Line3,
-    PLANE_COORD_INDICES,
-    conic_gradient,
-    conic_value,
-    insert_one,
-)
+from .geometry import PLANE_COORD_INDICES, Chart, ChartPoint
 from .gw import GwForm, trace_form
 from .linalg import det
+
+
+def chart_tensor(i: int, p, s) -> np.ndarray:
+    """The (8, 3, 4) tensor of the lines spanned by the rows of p and s
+    (8, 4) in plane chart i: up to sign, z[n] @ (1, a) is the point where
+    line n meets the plane a, in the chart-i plane coordinates.  Bilinear
+    in (p, s)."""
+    keep = PLANE_COORD_INDICES[i]
+    m = p[:, None, :] * s[:, :, None] - p[:, :, None] * s[:, None, :]
+    return np.ascontiguousarray(m[:, keep][:, :, (i,) + keep])
+
+
+def _plane_and_conic(x, j):
+    """The plane vectors (1, a) (N, 4), the conic coefficients (N, 6) and
+    the mask of their free slots (N, 6) of chart points x (N, 8), whose
+    conic chart j is one for all points or one per point (N,)."""
+    n = x.shape[0]
+    free = np.broadcast_to(np.arange(6) != np.reshape(j, (-1, 1)), (n, 6))
+    c = np.ones((n, 6), dtype=x.dtype)
+    c[free] = x[:, 3:].ravel()
+    return np.concatenate([np.ones((n, 1), dtype=x.dtype), x[:, :3]], axis=1), c, free
+
+
+def _jacobian(ja, mon, free):
+    """The chart Jacobian (N, 8, 8): the plane columns ja, then the conic
+    monomials of the free slots."""
+    jb = mon[np.broadcast_to(free[:, None, :], mon.shape)].reshape(mon.shape[0], 8, 5)
+    return np.concatenate([ja, jb], axis=2)
+
+
+def monomials(z):
+    """The conic monomials (z0^2, z1^2, z2^2, z1 z2, z0 z2, z0 z1) (..., 6)
+    of the points z (..., 3)."""
+    return z[..., [0, 1, 2, 1, 0, 0]] * z[..., [0, 1, 2, 2, 2, 1]]
+
+
+def _section(z, c):
+    """The monomial kernel of every section evaluation: for the points z
+    (N, 8, 3) where the lines meet the plane and conic coefficients c
+    (N, 6), the values sum_k c_k mon_k(z) (N, 8) and the monomials
+    (N, 8, 6)."""
+    mon = monomials(z)
+    return np.einsum("Nnk,Nk->Nn", mon, c), mon
+
+
+def _gradient(z, c):
+    """The gradient in z (N, 8, 3) of the conics c (N, 6) at the points z."""
+    # twice the conic as a symmetric matrix (N, 3, 3): the gradient is z times it
+    q = (c * [2, 2, 2, 1, 1, 1])[:, [0, 5, 4, 5, 1, 3, 4, 3, 2]].reshape(-1, 3, 3)
+    return z @ q
+
+
+def _chart_points(zm, x, j):
+    """The points z (N, 8, 3) where the lines of the chart tensor zm
+    (8, 3, 4) meet the planes of the chart points x (N, 8) of conic chart
+    j, with the conic coefficients and free slots of `_plane_and_conic`."""
+    abar, c, free = _plane_and_conic(x, j)
+    return np.einsum("nrc,Nc->Nnr", zm, abar), c, free
+
+
+def _plane_columns(zm, z, c):
+    """The plane columns (N, 8, 3) of the Jacobian, by the chain rule: the
+    gradient at z times dz/da, the last three columns of zm (8, 3, 4)."""
+    return np.einsum("Nnr,nrl->Nnl", _gradient(z, c), zm[:, :, 1:4])
 
 
 def scalar_tag(x) -> str:
@@ -51,13 +115,8 @@ def scalar_tag(x) -> str:
 
 
 def monomial_vector(z) -> tuple:
-    z0, z1, z2 = z
-    return (z0 * z0, z1 * z1, z2 * z2, z1 * z2, z0 * z2, z0 * z1)
-
-
-def _b_position(ell: int, j: int) -> int:
-    """Monomial slot multiplied by b_ell when slot j is normalized to 1."""
-    return ell - 1 if ell <= j else ell
+    """The conic monomials of one point z = (z0, z1, z2)."""
+    return tuple(monomials(np.asarray(z, dtype=object)))
 
 
 def orientation_sign(chart: Chart) -> int:
@@ -73,11 +132,12 @@ def orientation_sign(chart: Chart) -> int:
 
 
 class SectionSystem:
-    """Eight lines viewed through one chart, with cached point maps.
+    """Eight lines viewed through one chart, in the lines' own scalars.
 
     For line n the affine representative of its intersection with the
-    moving plane is z^n = Z_n @ (1, a1, a2, a3); the 3x4 matrices Z_n are
-    computed once at construction.
+    moving plane is z^n = zmaps[n] @ (1, a1, a2, a3); `zmaps` is the
+    chart's (8, 3, 4) tensor as an object array, computed once at
+    construction.
     """
 
     def __init__(self, chart: Chart, lines):
@@ -85,30 +145,20 @@ class SectionSystem:
             raise ValueError("need exactly 8 lines")
         self.chart = chart
         self.lines = tuple(lines)
-        keep = PLANE_COORD_INDICES[chart.i]
-        col_order = (chart.i,) + keep
-        zmaps = []
-        for line in self.lines:
-            p, s = line.p, line.s
-            # ambient intersection map: x_r = sum_l a_l (p_l s_r - p_r s_l)
-            m = [[p[l] * s[r] - p[r] * s[l] for l in range(4)] for r in range(4)]
-            zmaps.append(
-                tuple(tuple(m[r][c] for c in col_order) for r in keep)
-            )
-        self.zmaps = tuple(zmaps)
+        rows = np.array([[ln.p for ln in self.lines], [ln.s for ln in self.lines]], dtype=object)
+        self.zmaps = chart_tensor(chart.i, *rows)
 
-    def point_reps(self, point: ChartPoint) -> list:
-        """Affine representatives z^n of the 8 intersection points."""
-        avec = (1,) + tuple(point.a)
-        out = []
-        for zm in self.zmaps:
-            out.append(
-                tuple(sum(zm[r][c] * avec[c] for c in range(4)) for r in range(3))
-            )
-        return out
+    def _points(self, point: ChartPoint):
+        """The kernel's points z (1, 8, 3), conic coefficients and free
+        slots at one chart point."""
+        return _chart_points(self.zmaps, np.array([point.a + point.b], dtype=object), self.chart.j)
+
+    def point_reps(self, point: ChartPoint) -> np.ndarray:
+        """Affine representatives z^n (8, 3) of the 8 intersection points."""
+        return self._points(point)[0][0]
 
     def coefficients(self, point: ChartPoint) -> tuple:
-        return insert_one(point.b, self.chart.j)
+        return tuple(self._points(point)[1][0])
 
 
 @dataclass(frozen=True)
@@ -127,8 +177,8 @@ class LocalIndex:
 
 
 def eval_section(system: SectionSystem, point: ChartPoint) -> tuple:
-    coeffs = system.coefficients(point)
-    return tuple(conic_value(coeffs, z) for z in system.point_reps(point))
+    z, c, _ = system._points(point)
+    return tuple(_section(z, c)[0][0])
 
 
 def jacobian(system: SectionSystem, point: ChartPoint) -> JacobianRecord:
@@ -138,23 +188,9 @@ def jacobian(system: SectionSystem, point: ChartPoint) -> JacobianRecord:
     The determinant carries the chart's orientation sign, so values taken
     in different charts at a common zero differ by nonzero squares.
     """
-    coeffs = system.coefficients(point)
-    j = system.chart.j
-    zs = system.point_reps(point)
-    mons = [monomial_vector(z) for z in zs]
-    grads = [conic_gradient(coeffs, z) for z in zs]
-    rows = []
-    for ell in range(1, 4):  # d/da_ell; dz_r/da_ell = Z[r][ell]
-        rows.append(
-            tuple(
-                sum(grads[n][r] * system.zmaps[n][r][ell] for r in range(3))
-                for n in range(8)
-            )
-        )
-    for ell in range(1, 6):  # d/db_ell
-        pos = _b_position(ell, j)
-        rows.append(tuple(mons[n][pos] for n in range(8)))
-    matrix = tuple(rows)
+    z, c, free = system._points(point)
+    jmat = _jacobian(_plane_columns(system.zmaps, z, c), monomials(z), free)
+    matrix = tuple(map(tuple, jmat[0].T))
     d = orientation_sign(system.chart) * det(matrix)
     return JacobianRecord(matrix=matrix, determinant=d, field=scalar_tag(d))
 
@@ -177,76 +213,3 @@ def local_index(system: SectionSystem, point: ChartPoint, reality: str = "ration
     if isinstance(d, complex):
         d = d.real if d.imag == 0 else d
     return LocalIndex(point, GwForm.unit(d))
-
-
-def conic_through_5(points) -> tuple:
-    """Coefficients of the unique conic through 5 points in general position.
-
-    Coefficient k is the signed 5x5 minor obtained by deleting column k of
-    the 5x6 monomial matrix, with sign (-1)^k; this matches expanding the
-    bordered 6x6 monomial determinant along its first row.
-    """
-    if len(points) != 5:
-        raise ValueError("need exactly 5 points")
-    m = [monomial_vector(z) for z in points]
-    coeffs = []
-    for k in range(6):
-        minor = [[row[c] for c in range(6) if c != k] for row in m]
-        d = det(minor)
-        coeffs.append(d if k % 2 == 0 else -d)
-    if all(c == 0 for c in coeffs):
-        raise DegenerateConfiguration("5 points do not determine a conic")
-    return tuple(coeffs)
-
-
-def jacobian_via_laplace(system: SectionSystem, point: ChartPoint):
-    """Jacobian determinant by Laplace expansion along the three a-rows.
-
-    The complementary 5x5 minors are packaged as coefficients of the conic
-    through the complementary five intersection points, with sign
-    (-1)^(u+v+w+j) for 1-based column triples (u,v,w).
-    """
-    rec = jacobian(system, point)
-    a_rows = rec.matrix[:3]
-    zs = system.point_reps(point)
-    j = system.chart.j
-    total = rec.determinant * 0
-    for u, v, w in combinations(range(1, 9), 3):
-        a3 = det([[a_rows[r][n - 1] for n in (u, v, w)] for r in range(3)])
-        if a3 == 0:
-            continue
-        comp = [zs[n - 1] for n in range(1, 9) if n not in (u, v, w)]
-        try:
-            f = conic_through_5(comp)
-        except DegenerateConfiguration:
-            continue  # the coefficient vector is zero; minor contributes nothing
-        sign = -1 if (u + v + w + j) % 2 else 1
-        total = total + sign * a3 * f[j]
-    return orientation_sign(system.chart) * total
-
-
-def tangent_diagnostics(system: SectionSystem, point: ChartPoint, n: int, ell: int) -> dict:
-    """Gradient of the conic at the n-th intersection representative and the
-    deviation of its a_ell-perturbation from the tangent plane.
-
-    The deviation equals the Jacobian entry (a_ell, n); internally checks
-    grad(p).(p + dp/da_ell) = deviation + 2*section_n since grad(p).p is
-    twice the section value.
-    """
-    coeffs = system.coefficients(point)
-    z = system.point_reps(point)[n]
-    if all(c == 0 for c in z):
-        raise ConePoint("intersection representative degenerated to the cone point")
-    grad = conic_gradient(coeffs, z)
-    dz = tuple(system.zmaps[n][r][ell] for r in range(3))
-    deviation = sum(grad[r] * dz[r] for r in range(3))
-    shifted = sum(grad[r] * (z[r] + dz[r]) for r in range(3))
-    phi_n = conic_value(coeffs, z)
-    check = shifted - (deviation + 2 * phi_n)
-    if isinstance(check, (float, complex)):
-        scale = max(1.0, abs(complex(shifted)))
-        if abs(complex(check)) > 1e-9 * scale:
-            raise AssertionError("tangent-plane identity failed beyond roundoff")
-    elif check != 0:
-        raise AssertionError("tangent-plane identity failed")
-    return {"gradient": grad, "deviation": deviation}

@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 from conics92.harness import Instance, gen_planted_instance, gen_random_instance
 from conics92.solver import SolverOptions, solve_all

@@ -1,14 +1,33 @@
-"""Shared test utilities: an expanded-polynomial oracle, set matching, an
+"""Shared test utilities: an expanded-polynomial oracle, the exact test
+oracles of the section and of the trivializing points, set matching, an
 exact relative residual and the reference tracker."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from conics92.geometry import Chart, ChartPoint, Line3, insert_one
-from conics92.section import SectionSystem, eval_section, monomial_vector
+from conics92.errors import ConePoint, DegenerateConfiguration, DegeneratePoint
+from conics92.geometry import (
+    PLANE_COORD_INDICES,
+    Chart,
+    ChartPoint,
+    Line3,
+    Plane3,
+    conic_value,
+    insert_one,
+    plane_coords,
+)
+from conics92.linalg import det
+from conics92.section import (
+    SectionSystem,
+    eval_section,
+    jacobian,
+    monomial_vector,
+    orientation_sign,
+)
 from conics92 import solver
 from conics92.solver import ConicSolution, projective_pair_dist
 
@@ -106,6 +125,137 @@ def expanded_section_polys(system):
     return out
 
 
+def conic_gradient(coeffs, z) -> tuple:
+    """Gradient in z of the conic with the given 6 coefficients."""
+    z0, z1, z2 = z
+    return (
+        2 * coeffs[0] * z0 + coeffs[4] * z2 + coeffs[5] * z1,
+        2 * coeffs[1] * z1 + coeffs[3] * z2 + coeffs[5] * z0,
+        2 * coeffs[2] * z2 + coeffs[3] * z1 + coeffs[4] * z0,
+    )
+
+
+def conic_through_5(points) -> tuple:
+    """Coefficients of the unique conic through 5 points in general position.
+
+    Coefficient k is the signed 5x5 minor obtained by deleting column k of
+    the 5x6 monomial matrix, with sign (-1)^k; this matches expanding the
+    bordered 6x6 monomial determinant along its first row.
+    """
+    if len(points) != 5:
+        raise ValueError("need exactly 5 points")
+    m = [monomial_vector(z) for z in points]
+    coeffs = []
+    for k in range(6):
+        minor = [[row[c] for c in range(6) if c != k] for row in m]
+        d = det(minor)
+        coeffs.append(d if k % 2 == 0 else -d)
+    if all(c == 0 for c in coeffs):
+        raise DegenerateConfiguration("5 points do not determine a conic")
+    return tuple(coeffs)
+
+
+def jacobian_via_laplace(system: SectionSystem, point: ChartPoint):
+    """Jacobian determinant by Laplace expansion along the three a-rows.
+
+    The complementary 5x5 minors are packaged as coefficients of the conic
+    through the complementary five intersection points, with sign
+    (-1)^(u+v+w+j) for 1-based column triples (u,v,w).
+    """
+    rec = jacobian(system, point)
+    a_rows = rec.matrix[:3]
+    zs = system.point_reps(point)
+    j = system.chart.j
+    total = rec.determinant * 0
+    for u, v, w in combinations(range(1, 9), 3):
+        a3 = det([[a_rows[r][n - 1] for n in (u, v, w)] for r in range(3)])
+        if a3 == 0:
+            continue
+        comp = [zs[n - 1] for n in range(1, 9) if n not in (u, v, w)]
+        try:
+            f = conic_through_5(comp)
+        except DegenerateConfiguration:
+            continue  # the coefficient vector is zero; minor contributes nothing
+        sign = -1 if (u + v + w + j) % 2 else 1
+        total = total + sign * a3 * f[j]
+    return orientation_sign(system.chart) * total
+
+
+def tangent_diagnostics(system: SectionSystem, point: ChartPoint, n: int, ell: int) -> dict:
+    """Gradient of the conic at the n-th intersection representative and the
+    deviation of its a_ell-perturbation from the tangent plane.
+
+    The deviation equals the Jacobian entry (a_ell, n); internally checks
+    grad(p).(p + dp/da_ell) = deviation + 2*section_n since grad(p).p is
+    twice the section value.
+    """
+    coeffs = system.coefficients(point)
+    z = system.point_reps(point)[n]
+    if all(c == 0 for c in z):
+        raise ConePoint("intersection representative degenerated to the cone point")
+    grad = conic_gradient(coeffs, z)
+    dz = tuple(system.zmaps[n][r][ell] for r in range(3))
+    deviation = sum(grad[r] * dz[r] for r in range(3))
+    shifted = sum(grad[r] * (z[r] + dz[r]) for r in range(3))
+    phi_n = conic_value(coeffs, z)
+    check = shifted - (deviation + 2 * phi_n)
+    if isinstance(check, (float, complex)):
+        scale = max(1.0, abs(complex(shifted)))
+        if abs(complex(check)) > 1e-9 * scale:
+            raise AssertionError("tangent-plane identity failed beyond roundoff")
+    elif check != 0:
+        raise AssertionError("tangent-plane identity failed")
+    return {"gradient": grad, "deviation": deviation}
+
+
+def trivialization_point(chart: Chart, plane: Plane3) -> tuple:
+    """Distinguished point of the chart's reference locus on the plane.
+
+    For j <= 2 the locus is the coordinate line where both other plane
+    coordinates vanish; for j >= 3 it is the line where coordinate j-3
+    vanishes and the remaining two are equal.
+    """
+    i, j = chart.i, chart.j
+    a = plane.a
+    keep = PLANE_COORD_INDICES[i]
+    zero = a[0] * 0
+    pt = [zero, zero, zero, zero]
+    if j <= 2:
+        u = keep[j]
+        pt[u] = a[i] + zero
+        pt[i] = -a[u]
+    else:
+        u = keep[j - 3]
+        v, w = (amb for amb in keep if amb != u)
+        pt[v] = a[i] + zero
+        pt[w] = a[i] + zero
+        pt[i] = -(a[v] + a[w])
+    if all(x == 0 for x in pt):
+        raise DegeneratePoint(f"trivialization point degenerates in chart ({i},{j})")
+    return tuple(pt)
+
+
+def trivialization_value(chart: Chart, a, coeffs):
+    """Value of the trivializing section at (H_a, q_coeffs).
+
+    Evaluating the conic at the chart's reference point isolates a_i^2*b_j
+    for the square-monomial charts; the cross-term charts subtract the two
+    square contributions picked up at their reference point.  The result is
+    identically a_i^2 * b_j.
+    """
+    i, j = chart.i, chart.j
+    plane = Plane3(tuple(a))
+    val = conic_value(coeffs, plane_coords(i, trivialization_point(chart, plane)))
+    if j >= 3:
+        for jj in range(3):
+            if jj != j - 3:
+                sq = conic_value(
+                    coeffs, plane_coords(i, trivialization_point(Chart(i, jj), plane))
+                )
+                val = val - sq
+    return val
+
+
 def rank_mod_p(rows, p: int) -> int:
     """Rank over F_p of a matrix of integers, by Gauss-Jordan elimination."""
     m = [[int(v) % p for v in row] for row in rows]
@@ -124,9 +274,10 @@ def rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-def oracle_jacobian_rank_mod_p(lines, point, p: int) -> int:
-    """Rank of the chart Jacobian at an F_p-point of the section of 8 lines
-    over F_p, from the expanded polynomials.
+def oracle_jacobian_mod_p(lines, point, p: int) -> list:
+    """The chart Jacobian, rows (a1,a2,a3,b1..b5) and columns by line, at an
+    F_p-point of the section of 8 lines over F_p, from the expanded
+    polynomials, as integers mod p.
 
     Lines and point are lifted to integers; the expanded polynomials then
     have integer coefficients, so differentiating over Q and reducing the
@@ -138,8 +289,12 @@ def oracle_jacobian_rank_mod_p(lines, point, p: int) -> int:
     ]
     polys = expanded_section_polys(SectionSystem(point.chart, lifted))
     xs = [v.value for v in point.a] + [v.value for v in point.b]
-    matrix = [[polys[n].diff(v).eval(xs) for n in range(8)] for v in range(8)]
-    return rank_mod_p(matrix, p)
+    return [[int(polys[n].diff(v).eval(xs)) % p for n in range(8)] for v in range(8)]
+
+
+def oracle_jacobian_rank_mod_p(lines, point, p: int) -> int:
+    """Rank of `oracle_jacobian_mod_p` over F_p."""
+    return rank_mod_p(oracle_jacobian_mod_p(lines, point, p), p)
 
 
 def conj_solution(s: ConicSolution) -> ConicSolution:
@@ -177,6 +332,16 @@ def match_solution_sets(sa, sb, tol=1e-6) -> bool:
             return False
         used.add(hit)
     return True
+
+
+def same_real_zeros(sa, sb, tol=1e-9) -> bool:
+    """True when the two sets have the same real zeros, each within tol of
+    a real zero of the other set with the same sign."""
+    ra, rb = sa.real_solutions, sb.real_solutions
+    return len(ra) == len(rb) and all(
+        any(v.sign == u.sign and projective_pair_dist(u, v) < tol for v in rb)
+        for u in ra
+    )
 
 
 def relative_section_residual(lines, sol: ConicSolution) -> float:

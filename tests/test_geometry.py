@@ -20,9 +20,9 @@ from conics92.geometry import (
     meet_plane_oracle,
     plane_coords,
     proj_equal,
-    trivialization_point,
-    trivialization_value,
 )
+
+from helpers import trivialization_point, trivialization_value
 
 
 def rnd_line(rng, bound=9):

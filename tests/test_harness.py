@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from conics92.harness import (
 from conics92.section import SectionSystem, eval_section, jacobian
 
 from conftest import PLANTED_PRIME
-from helpers import oracle_jacobian_rank_mod_p
+from helpers import match_solution_sets, oracle_jacobian_rank_mod_p, same_real_zeros
 
 
 def test_gen_random_deterministic():
@@ -267,3 +268,30 @@ def test_verify_seed46(instances):
     report = verify(instances[46], SolverOptions(seed=46))
     assert report.passed
     assert (report.count, report.real, report.positive) == (92, 38, 19)
+
+
+def test_acceptance_does_not_depend_on_the_scale_of_the_lines(instances, monkeypatch):
+    # every decision of the solve is scale-free: each line scaled as a
+    # whole, by one factor or one per line, gives the same zeros, reality
+    # and signs (a line's det J factor is a square), and verify passes
+    from conics92 import harness
+    from conics92.solver import SolverOptions, solve_all
+
+    solved = []
+
+    def capture(*args):
+        solved.append(solve_all(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(harness, "solve_all", capture)
+    lines = instances[42].lines
+    per_line = [Fraction(10) ** k for k in (-3, 2, 0, -1, 3, -2, 1, 0)]
+    for scales in ([Fraction(1, 1000)] * 8, [Fraction(1, 100)] * 8, [1] * 8, [1000] * 8, per_line):
+        scaled = [
+            Line3(tuple(c * v for v in ln.p), tuple(c * v for v in ln.s))
+            for c, ln in zip(scales, lines)
+        ]
+        assert harness.verify(Instance(tuple(scaled)), SolverOptions(seed=42)).passed
+    for sset in solved:
+        assert match_solution_sets(sset, solved[2], tol=1e-9)
+        assert same_real_zeros(sset, solved[2])

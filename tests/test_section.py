@@ -22,17 +22,20 @@ from conics92.geometry import (
 from conics92.gw import GwForm, gw_equal, EQUAL
 from conics92.section import (
     SectionSystem,
-    conic_through_5,
     eval_section,
     jacobian,
-    jacobian_via_laplace,
     local_index,
     monomial_vector,
     orientation_sign,
-    tangent_diagnostics,
 )
 
-from helpers import Poly, expanded_section_polys
+from helpers import (
+    Poly,
+    conic_through_5,
+    expanded_section_polys,
+    jacobian_via_laplace,
+    tangent_diagnostics,
+)
 
 from conics92.harness import gen_random_instance
 

@@ -404,12 +404,13 @@ def test_base_fixture_is_complete():
     assert zeros.shape == (92, 8)
     lines = [Line3(tuple(p), tuple(s)) for p, s in zip(*rows)]
     system = solver.NumericChartSystem(Chart(0, 0), lines)
-    assert all(abs(system.det_jacobian(z)) > solver.DET_FLOOR for z in zeros)
+    sigma = np.linalg.svd(system.eval(zeros, jac=True)[1], compute_uv=False)[:, -1]
+    assert all(sigma > solver.SIGMA_FLOOR)
     # in its best chart each zero has an absolute residual below TOL_RESIDUAL
     cands = solver._candidates(zeros, np.tile((0, 0), (92, 1)), lines)
     assert len(cands) == 92
     assert all(c.residual <= solver.TOL_RESIDUAL for c in cands)
-    assert all(abs(c.det_jac) > solver.DET_FLOOR for c in cands)
+    assert all(c.sigma_min > solver.SIGMA_FLOOR for c in cands)
     for z, c in zip(zeros, cands):
         assert np.allclose(solver._to_chart(z, (0, 0), c.chart)[1], c.a + c.b, rtol=0, atol=1e-12)
     assert _distinct_zeros(cands) == cands
