@@ -23,7 +23,6 @@ from .geometry import (
     chart_embed,
     conic_coeffs_transition,
     genericity_check,
-    meet_plane,
     meet_plane_oracle,
     plane_coords,
 )
@@ -46,7 +45,6 @@ from .harness import (
     brute_force_fq,
     gen_planted_instance,
     gen_random_instance,
-    incidence_agreement,
     reduce_instance,
     verify,
 )

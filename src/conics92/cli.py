@@ -9,14 +9,13 @@ import sys
 from fractions import Fraction
 
 from .errors import Conics92Error
-from .fields import COMPLEX, RATIONAL, REAL, PrimeFieldElement, QuadExtElement
-from .gw import EQUAL, GwForm, gw_add, invariants
+from .fields import PrimeField, PrimeFieldElement, QuadExtElement
+from .gw import GwForm, gw_add, invariants
 from .harness import (
     Instance,
     brute_force_fq,
     gen_planted_instance,
     gen_random_instance,
-    incidence_agreement,
     verify,
 )
 from .solver import SolverOptions, solve_all
@@ -60,7 +59,7 @@ def _field_tag(field: str) -> str:
     if field in ("R", "Q", "C"):
         return field
     if re.fullmatch(r"F\d+", field):
-        return field
+        return PrimeField(int(field[1:])).tag
     raise ValueError(f"unknown field {field!r}")
 
 
@@ -139,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_brute.add_argument("--p", type=int, required=True)
     p_brute.add_argument("--degree", type=int, default=1, choices=(1, 2))
     p_brute.add_argument("--lines", required=True)
-    p_brute.add_argument("--agreement", action="store_true",
-                         help="also sweep the chart-formula/oracle agreement")
     p_brute.add_argument("--out")
 
     p_gw = sub.add_parser("gw", help="evaluate a form expression")
@@ -197,8 +194,6 @@ def cli_main(argv=None) -> int:
                     for s in sols
                 ],
             }
-            if args.agreement and args.degree == 1:
-                data["agreement"] = incidence_agreement(instance, args.p)
             _emit(data, args.out)
             return 0
 

@@ -2,8 +2,9 @@
 
 Supports exact rationals (``fractions.Fraction``), odd prime fields F_p,
 their quadratic extensions F_{p^2}, double-precision reals and complexes.
-All backends expose ordinary operator arithmetic so the geometry and
-section formulas evaluate uniformly over any of them.
+F_{p^2} has one presentation, F_p[t]/(t^2 - n) with n the least quadratic
+nonresidue mod p.  All backends expose ordinary operator arithmetic so the
+geometry and section formulas evaluate uniformly over any of them.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ class PrimeField:
 
 
 class QuadExtElement:
-    """Element c0 + c1*t of F_p[t]/(t^2 + beta*t + gamma)."""
+    """Element c0 + c1*t of F_p[t]/(t^2 + gamma)."""
 
     __slots__ = ("field", "c0", "c1")
 
@@ -292,9 +293,7 @@ class QuadExtElement:
 
     def _coerce(self, other):
         if isinstance(other, QuadExtElement):
-            if other.field is not self.field and (
-                other.field.p, other.field.beta, other.field.gamma
-            ) != (self.field.p, self.field.beta, self.field.gamma):
+            if other.field.p != self.field.p:
                 raise ValueError("mixed quadratic extensions")
             return other
         if isinstance(other, (int, PrimeFieldElement)):
@@ -326,24 +325,19 @@ class QuadExtElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        p, beta, gamma = self.field.p, self.field.beta, self.field.gamma
-        cross = self.c1 * o.c1
-        c0 = self.c0 * o.c0 - gamma * cross
-        c1 = self.c0 * o.c1 + self.c1 * o.c0 - beta * cross
-        return QuadExtElement(self.field, c0 % p, c1 % p)
+        c0 = self.c0 * o.c0 - self.field.gamma * self.c1 * o.c1
+        c1 = self.c0 * o.c1 + self.c1 * o.c0
+        return QuadExtElement(self.field, c0, c1)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadExtElement":
-        # the other root of the defining polynomial is -beta - t
-        return QuadExtElement(
-            self.field, self.c0 - self.field.beta * self.c1, -self.c1
-        )
+        # the other root of t^2 + gamma is -t
+        return QuadExtElement(self.field, self.c0, -self.c1)
 
     def norm(self) -> PrimeFieldElement:
-        f = self.field
-        n = self.c0 * self.c0 - f.beta * self.c0 * self.c1 + f.gamma * self.c1 * self.c1
-        return PrimeFieldElement(f.p, n)
+        n = self.c0 * self.c0 + self.field.gamma * self.c1 * self.c1
+        return PrimeFieldElement(self.field.p, n)
 
     def inverse(self) -> "QuadExtElement":
         n = self.norm()
@@ -387,28 +381,20 @@ class QuadExtElement:
         return self.c0 == o.c0 and self.c1 == o.c1
 
     def __hash__(self):
-        return hash((self.field.p, self.field.beta, self.field.gamma, self.c0, self.c1))
+        return hash((self.field.p, self.c0, self.c1))
 
     def __repr__(self):
         return f"F{self.field.p}^2({self.c0}+{self.c1}t)"
 
 
 class QuadExtField:
-    """F_{p^2} presented as F_p[t]/(t^2 + beta*t + gamma)."""
+    """F_{p^2} presented as F_p[t]/(t^2 + gamma), where -gamma is the
+    least quadratic nonresidue mod p, so t^2 = -gamma."""
 
-    def __init__(self, p: int, beta: int = 0, gamma: int | None = None):
-        base = PrimeField(p)
-        if gamma is None and beta == 0:
-            gamma = (-base.least_nonresidue) % p
-        if gamma is None:
-            raise ValueError("gamma required when beta != 0")
-        disc = (beta * beta - 4 * gamma) % p
-        if disc == 0 or pow(disc, (p - 1) // 2, p) == 1:
-            raise ValueError("defining polynomial is reducible mod p")
+    def __init__(self, p: int):
+        self.base = PrimeField(p)
         self.p = p
-        self.beta = beta % p
-        self.gamma = gamma % p
-        self.base = base
+        self.gamma = -self.base.least_nonresidue % p
         self.tag = quad_ext_tag(p)
 
     def __call__(self, c0, c1=0) -> QuadExtElement:
@@ -445,7 +431,7 @@ class QuadExtField:
         raise ArithmeticError("no nonresidue found")  # unreachable
 
     def __repr__(self):
-        return f"QuadExtField(p={self.p}, t^2+{self.beta}t+{self.gamma})"
+        return f"QuadExtField(p={self.p}, t^2+{self.gamma})"
 
 
 def ensure_finite(z: complex) -> complex:
@@ -560,9 +546,8 @@ def field_trace(x: QuadExtElement) -> PrimeFieldElement:
     """Frobenius trace x + x^p down to the base prime field."""
     if not isinstance(x, QuadExtElement):
         raise UnsupportedExtension("field_trace expects a quadratic-extension element")
-    # x + x^p = 2*c0 - beta*c1 since the conjugate root is -beta - t
-    f = x.field
-    return PrimeFieldElement(f.p, 2 * x.c0 - f.beta * x.c1)
+    # x + x^p = 2*c0 since the conjugate root is -t
+    return PrimeFieldElement(x.field.p, 2 * x.c0)
 
 
 # ---------------------------------------------------------------------------

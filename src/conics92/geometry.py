@@ -137,24 +137,9 @@ def proj_equal(x, y) -> bool:
 # incidence
 # ---------------------------------------------------------------------------
 
-def meet_plane(line: Line3, plane: Plane3) -> tuple:
-    """Intersection point of a line with a plane not containing it.
-
-    Coordinate r of the result is sum_l a_l (p_l s_r - p_r s_l); the output
-    is bilinear in (a, p, s) and lies on both the line and the plane.
-    """
-    a, p, s = plane.a, line.p, line.s
-    x = tuple(
-        sum((a[l] * (p[l] * s[r] - p[r] * s[l]) for l in range(4)), start=a[0] * 0)
-        for r in range(4)
-    )
-    if all(v == 0 for v in x):
-        raise LineInPlane("line lies in the plane")
-    return x
-
-
 def meet_plane_oracle(line: Line3, plane: Plane3) -> tuple:
-    """Same intersection computed by eliminating on x = alpha*p + beta*s."""
+    """Intersection point of a line with a plane not containing it, by
+    eliminating on x = alpha*p + beta*s."""
     a, p, s = plane.a, line.p, line.s
     ap = sum((a[l] * p[l] for l in range(4)), start=a[0] * 0)
     asx = sum((a[l] * s[l] for l in range(4)), start=a[0] * 0)

@@ -10,9 +10,8 @@ but not certify it, so agreement is reported as "undecided".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import Degenerate, FieldMismatch, UnsupportedExtension
+from .errors import Degenerate, FieldMismatch
 from .fields import (
     COMPLEX,
     RATIONAL,
@@ -268,25 +267,11 @@ def diagonalize_gram(g: GramMatrix) -> GwForm:
     return GwForm._normalize(cls[0].field if cls else g.field, [(c, 1) for c in cls])
 
 
-def trace_form(a, extension="auto") -> GwForm:
-    """Transfer <a> along a degree-<=2 extension via the field trace.
-
-    Supported extensions: C/R (a complex), F_{p^2}/F_p (a a quadratic
-    extension element), and the trivial extension k/k (anything else).
-    """
-    if extension == "auto":
-        if isinstance(a, complex):
-            extension = "C/R"
-        elif isinstance(a, QuadExtElement):
-            extension = a.field
-        else:
-            extension = "trivial"
-
-    if extension == "trivial":
-        return GwForm.unit(a)
-
-    if extension == "C/R":
-        a = complex(a)
+def trace_form(a) -> GwForm:
+    """Transfer <a> along a degree-<=2 extension via the field trace: C/R
+    for a complex a, F_{p^2}/F_p for a quadratic-extension element, and the
+    trivial extension k/k for anything else."""
+    if isinstance(a, complex):
         if a == 0:
             raise ZeroDivisionError("trace form of 0")
         gram = GramMatrix(
@@ -298,16 +283,13 @@ def trace_form(a, extension="auto") -> GwForm:
         )
         return diagonalize_gram(gram)
 
-    if isinstance(extension, QuadExtField):
-        x = extension(a) if not isinstance(a, QuadExtElement) else a
-        t = extension.gen()
-        basis = (extension.one(), t)
+    if isinstance(a, QuadExtElement):
+        ext = a.field
+        basis = (ext.one(), ext.gen())
         gram = GramMatrix(
-            extension.base.tag,
-            tuple(
-                tuple(field_trace(x * u * v) for v in basis) for u in basis
-            ),
+            ext.base.tag,
+            tuple(tuple(field_trace(a * u * v) for v in basis) for u in basis),
         )
         return diagonalize_gram(gram)
 
-    raise UnsupportedExtension(f"unsupported extension {extension!r}")
+    return GwForm.unit(a)

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .fields import (
     PrimeField,
-    PrimeFieldElement,
     QuadExtField,
     rational_from_str,
     rational_to_str,
@@ -35,7 +34,6 @@ from .geometry import (
     PLANE_COORD_INDICES,
     Chart,
     ChartPoint,
-    GenericityReport,
     Line3,
     Plane3,
     chart_coords,
@@ -44,9 +42,7 @@ from .geometry import (
     conic_sym_matrix,
     genericity_check,
     insert_one,
-    meet_plane,
-    meet_plane_oracle,
-    plane_coords,
+    meet_plane_oracle,  # unused; bench/tracing.py patches it until ROADMAP item 8
 )
 from .gw import EQUAL, GwForm, gw_equal, invariants
 from .linalg import adjugate3, det
@@ -55,7 +51,6 @@ from .section import (
     chart_tensor,
     eval_section,
     jacobian,
-    monomial_vector,
     monomials,
 )
 from .solver import (
@@ -401,29 +396,24 @@ class BruteForceSolution:
     chart_dets: dict  # (i,j) -> field element
 
 
-def _enumerate_planes_int(p: int) -> np.ndarray:
-    reps = []
-    for lead in range(4):
-        tail_len = 3 - lead
-        grid = np.indices((p,) * tail_len).reshape(tail_len, -1).T if tail_len else np.zeros((1, 0), dtype=int)
-        for tail in grid:
-            reps.append([0] * lead + [1] + list(tail))
-    return np.array(reps, dtype=np.int64)
-
-
-def _enumerate_conics_int(p: int) -> np.ndarray:
-    reps = []
-    for lead in range(6):
-        tail_len = 5 - lead
-        grid = np.indices((p,) * tail_len).reshape(tail_len, -1).T if tail_len else np.zeros((1, 0), dtype=int)
-        for tail in grid:
-            reps.append([0] * lead + [1] + list(tail))
-    return np.array(reps, dtype=np.int64)
+def _projective_reps(q: int, width: int) -> np.ndarray:
+    """The normalized representatives of P^(width-1)(F_q) as integer codes
+    (N, width): lead slot by lead slot, zeros, then a 1, then every tail in
+    lexicographic order.  Over F_{p^2} the code c is (c % p) + (c // p) t."""
+    blocks = []
+    for lead in range(width):
+        tail = width - 1 - lead
+        block = np.zeros((q**tail, width), dtype=np.int64)
+        block[:, lead] = 1
+        block[:, lead + 1 :] = np.indices((q,) * tail).reshape(tail, q**tail).T
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def brute_force_fq(instance: Instance, p: int, degree: int = 1) -> list:
     """Exhaustive solve over F_{p^degree} by enumerating all (plane, conic)
-    candidates and testing incidence at the 8 oracle intersection points.
+    candidates and testing incidence at the 8 points where the lines meet
+    the plane.
 
     Returns every F_q-rational zero of the reduced system, simple or
     singular, as BruteForceSolution records with exact chart Jacobians in
@@ -496,8 +486,8 @@ def _meet_points(lines, i: int, planes, p: int) -> np.ndarray:
 
 
 def _brute_force_fp(instance: Instance, p: int) -> list:
-    planes = _enumerate_planes_int(p)
-    conics = _enumerate_conics_int(p).astype(np.float64)
+    planes = _projective_reps(p, 4)
+    conics = _projective_reps(p, 6).astype(np.float64)
     lines = _line_rows(instance)
     lead = np.argmax(planes != 0, axis=1)
     results = []
@@ -514,34 +504,15 @@ def _brute_force_fp(instance: Instance, p: int) -> list:
     return results
 
 
-def _enumerate_pairs_int(p: int, width: int) -> tuple:
-    """Normalized projective reps over F_{p^2} as parallel (c0, c1) arrays."""
-    cells = p * p  # element index = c0 + p*c1
-    reps0 = []
-    reps1 = []
-    for lead in range(width):
-        tail_len = width - 1 - lead
-        if tail_len:
-            grid = np.indices((cells,) * tail_len).reshape(tail_len, -1).T
-        else:
-            grid = np.zeros((1, 0), dtype=int)
-        for tail in grid:
-            e0 = [0] * lead + [1] + [int(t) % p for t in tail]
-            e1 = [0] * lead + [0] + [int(t) // p for t in tail]
-            reps0.append(e0)
-            reps1.append(e1)
-    return np.array(reps0, dtype=np.float64), np.array(reps1, dtype=np.float64)
-
-
 def _brute_force_fp2(instance: Instance, p: int) -> list:
     gamma = QuadExtField(p).gamma  # t^2 = -gamma
-    planes0, planes1 = _enumerate_pairs_int(p, 4)
-    conics0, conics1 = _enumerate_pairs_int(p, 6)
+    planes = _projective_reps(p * p, 4)
+    conics1, conics0 = (c.astype(np.float64) for c in np.divmod(_projective_reps(p * p, 6), p))
     lines = _line_rows(instance)
-    lead = np.argmax(planes0 != 0, axis=1)
+    lead = np.argmax(planes != 0, axis=1)
     results = []
     for istar in range(4):
-        a0, a1 = (planes[lead == istar].astype(int) for planes in (planes0, planes1))
+        a1, a0 = np.divmod(planes[lead == istar], p)
         # the plane a0 + a1 t meets line n at z0 + z1 t, with t^2 = -gamma;
         # its monomials m0 + m1 t are one F_{p^2} product
         z0, z1 = _meet_points(lines, istar, a0, p), _meet_points(lines, istar, a1, p)
@@ -561,112 +532,6 @@ def _brute_force_fp2(instance: Instance, p: int) -> list:
                 plane_pair = tuple((int(u), int(v)) for u, v in zip(b0, b1))
                 results.append((plane_pair, conic, istar))
     return results
-
-
-# ---------------------------------------------------------------------------
-# incidence-oracle agreement sweep
-# ---------------------------------------------------------------------------
-
-def incidence_agreement(instance: Instance, p: int) -> dict:
-    """Compare the chart-formula evaluation against the incidence oracle on
-    every (plane, conic, chart) candidate over F_p.
-
-    Candidates whose plane contains a line are flagged identically by both
-    paths and tallied as agreements.
-    """
-    if instance.field == "Q":
-        instance = reduce_instance(instance, p)
-    fld = PrimeField(p)
-    planes = _enumerate_planes_int(p)
-    conics_f = _enumerate_conics_int(p).astype(np.float64)
-    n_conics = conics_f.shape[0]
-    lines = [
-        Line3(tuple(fld(v.value) for v in ln.p), tuple(fld(v.value) for v in ln.s))
-        for ln in instance.lines
-    ]
-    evaluations = 0
-    discrepancies = 0
-    flagged_planes = 0
-
-    for plane in planes:
-        a = tuple(fld(int(v)) for v in plane)
-        pl = Plane3(a)
-        istar = next(k for k in range(4) if plane[k] != 0)
-
-        formula_flag = []
-        oracle_pts = []
-        for ln in lines:
-            x_formula = None
-            try:
-                x_formula = meet_plane(ln, pl)
-            except Exception:
-                pass
-            x_oracle = None
-            try:
-                x_oracle = meet_plane_oracle(ln, pl)
-            except Exception:
-                pass
-            if (x_formula is None) != (x_oracle is None):
-                discrepancies += 1
-            formula_flag.append(x_formula is None)
-            oracle_pts.append(x_oracle)
-
-        n_charts_plane = sum(1 for k in range(4) if plane[k] != 0)
-        if any(formula_flag):
-            flagged_planes += 1
-            # both paths flag every candidate on this plane
-            evaluations += n_conics * n_charts_plane * 6
-            continue
-
-        mon_oracle = np.array(
-            [
-                [float(m.value) for m in monomial_vector(plane_coords(istar, x))]
-                for x in oracle_pts
-            ]
-        )
-        oracle_pattern = (conics_f @ mon_oracle.T % p) == 0
-
-        for m in range(4):
-            if plane[m] == 0:
-                continue
-            # transition matrix on coefficient vectors, istar -> m
-            tmat = []
-            for k in range(6):
-                basis = tuple(fld(1 if kk == k else 0) for kk in range(6))
-                col = conic_coeffs_transition(a, basis, istar, m)
-                tmat.append([float(v.value) for v in col])
-            tmat = np.array(tmat).T  # (6,6): coeffs_m = tmat @ coeffs_istar
-            conics_m = (conics_f @ tmat.T) % p
-
-            # chart-formula path: x via the bilinear formula at normalized coords
-            am = tuple(v / a[m] for v in a)
-            plm = Plane3(am)
-            mon_formula = np.array(
-                [
-                    [
-                        float(v.value)
-                        for v in monomial_vector(
-                            plane_coords(m, meet_plane(ln, plm))
-                        )
-                    ]
-                    for ln in lines
-                ]
-            )
-            formula_pattern = (conics_m @ mon_formula.T % p) == 0
-
-            valid_j = (conics_m % p) != 0  # (n_conics, 6)
-            weights = valid_j.sum(axis=1)
-            evaluations += int(weights.sum())
-            mism = np.any(formula_pattern != oracle_pattern, axis=1)
-            discrepancies += int((weights * mism).sum())
-
-    return {
-        "p": p,
-        "candidates": int(planes.shape[0]) * n_conics,
-        "evaluations": int(evaluations),
-        "discrepancies": int(discrepancies),
-        "planes_with_contained_line": int(flagged_planes),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,11 @@ and integer arrays mod p in the brute-force monomials (`harness`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import SingularZero
-from .fields import (
-    COMPLEX,
-    RATIONAL,
-    REAL,
-    PrimeFieldElement,
-    QuadExtElement,
-    prime_field_tag,
-    quad_ext_tag,
-)
+from .fields import QuadExtElement
 from .geometry import PLANE_COORD_INDICES, Chart, ChartPoint
 from .gw import GwForm, trace_form
 from .linalg import det
@@ -100,20 +91,6 @@ def _plane_columns(zm, z, c):
     return np.einsum("Nnr,nrl->Nnl", _gradient(z, c), zm[:, :, 1:4])
 
 
-def scalar_tag(x) -> str:
-    if isinstance(x, (int, Fraction)):
-        return RATIONAL
-    if isinstance(x, float):
-        return REAL
-    if isinstance(x, complex):
-        return COMPLEX
-    if isinstance(x, PrimeFieldElement):
-        return prime_field_tag(x.p)
-    if isinstance(x, QuadExtElement):
-        return quad_ext_tag(x.field.p)
-    return type(x).__name__
-
-
 def monomial_vector(z) -> tuple:
     """The conic monomials of one point z = (z0, z1, z2)."""
     return tuple(monomials(np.asarray(z, dtype=object)))
@@ -167,7 +144,6 @@ class JacobianRecord:
 
     matrix: tuple
     determinant: object
-    field: str
 
 
 @dataclass(frozen=True)
@@ -192,7 +168,7 @@ def jacobian(system: SectionSystem, point: ChartPoint) -> JacobianRecord:
     jmat = _jacobian(_plane_columns(system.zmaps, z, c), monomials(z), free)
     matrix = tuple(map(tuple, jmat[0].T))
     d = orientation_sign(system.chart) * det(matrix)
-    return JacobianRecord(matrix=matrix, determinant=d, field=scalar_tag(d))
+    return JacobianRecord(matrix=matrix, determinant=d)
 
 
 def local_index(system: SectionSystem, point: ChartPoint, reality: str = "rational") -> LocalIndex:
@@ -206,8 +182,7 @@ def local_index(system: SectionSystem, point: ChartPoint, reality: str = "ration
     if reality == "pair":
         if not isinstance(d, (complex, QuadExtElement)):
             raise ValueError("conjugate-pair index needs a non-real determinant type")
-        form = trace_form(complex(d)) if isinstance(d, complex) else trace_form(d)
-        return LocalIndex(point, form)
+        return LocalIndex(point, trace_form(d))
     if isinstance(d, QuadExtElement):
         return LocalIndex(point, trace_form(d))
     if isinstance(d, complex):

@@ -1,6 +1,7 @@
 """Shared test utilities: an expanded-polynomial oracle, the exact test
-oracles of the section and of the trivializing points, set matching, an
-exact relative residual and the reference tracker."""
+oracles of the section, of the line-plane intersection and of the
+trivializing points, set matching, an exact relative residual and the
+reference tracker."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from conics92.errors import ConePoint, DegenerateConfiguration, DegeneratePoint
+from conics92.errors import ConePoint, DegenerateConfiguration, DegeneratePoint, LineInPlane
 from conics92.geometry import (
     PLANE_COORD_INDICES,
     Chart,
@@ -123,6 +124,22 @@ def expanded_section_polys(system):
         )
         out.append(phi)
     return out
+
+
+def meet_plane(line: Line3, plane: Plane3) -> tuple:
+    """Intersection point of a line with a plane not containing it.
+
+    Coordinate r of the result is sum_l a_l (p_l s_r - p_r s_l); the output
+    is bilinear in (a, p, s) and lies on both the line and the plane.
+    """
+    a, p, s = plane.a, line.p, line.s
+    x = tuple(
+        sum((a[l] * (p[l] * s[r] - p[r] * s[l]) for l in range(4)), start=a[0] * 0)
+        for r in range(4)
+    )
+    if all(v == 0 for v in x):
+        raise LineInPlane("line lies in the plane")
+    return x
 
 
 def conic_gradient(coeffs, z) -> tuple:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conics92.cli import cli_main
 
 
@@ -12,6 +14,7 @@ def test_verify_writes_the_count(tmp_path):
 
 def test_removed_tolerance_flag_is_a_usage_error():
     assert cli_main(["solve", "--tol-residual", "1e-9"]) == 2
+    assert cli_main(["bruteforce", "--p", "5", "--lines", "x.json", "--agreement"]) == 2
 
 
 def test_gw_expressions(tmp_path):
@@ -22,3 +25,9 @@ def test_gw_expressions(tmp_path):
     assert cli_main(["gw", "<1>+<-1>", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert (data["rank"], data["signature"]) == (2, 0)
+
+
+@pytest.mark.parametrize("field", ["F1", "F2", "F9"])
+def test_gw_rejects_a_field_that_is_not_an_odd_prime(field, capsys):
+    assert cli_main(["gw", "<1>+H", "--field", field]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -93,7 +93,7 @@ def test_prime_field_square_counts():
 
 def test_field_trace_examples():
     f9 = QuadExtField(3)  # t^2 + 1 over F_3
-    assert f9.beta == 0 and f9.gamma == 1
+    assert f9.gamma == 1
     one, t = f9.one(), f9.gen()
     assert field_trace(one) == PrimeFieldElement(3, 2)
     assert field_trace(t) == PrimeFieldElement(3, 0)
@@ -132,8 +132,6 @@ def test_quad_ext_arithmetic():
             continue
         assert x * x.inverse() == ext.one()
         assert x ** (7 * 7 - 1) == ext.one()
-    with pytest.raises(ValueError):
-        QuadExtField(7, beta=0, gamma=-1)  # t^2 - 1 is reducible
 
 
 def test_quad_ext_square_count():

@@ -16,13 +16,12 @@ from conics92.geometry import (
     conic_coeffs_transition,
     conic_value,
     genericity_check,
-    meet_plane,
     meet_plane_oracle,
     plane_coords,
     proj_equal,
 )
 
-from helpers import trivialization_point, trivialization_value
+from helpers import meet_plane, trivialization_point, trivialization_value
 
 
 def rnd_line(rng, bound=9):

@@ -1,18 +1,30 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conics92.errors import BadReduction, ExhaustedRetries, TooLarge
+from conics92.errors import BadReduction, ExhaustedRetries, LineInPlane, TooLarge
 from conics92.fields import PrimeField, is_square
-from conics92.geometry import Chart, ChartPoint, Line3, genericity_check
+from conics92.geometry import (
+    Chart,
+    ChartPoint,
+    Line3,
+    Plane3,
+    genericity_check,
+    meet_plane_oracle,
+    plane_coords,
+    proj_equal,
+)
 from conics92.harness import (
     Instance,
+    _line_rows,
+    _meet_points,
+    _projective_reps,
     brute_force_fq,
     gen_planted_instance,
     gen_random_instance,
     good_reduction_prime,
-    incidence_agreement,
     reduce_instance,
 )
 from conics92.section import SectionSystem, eval_section, jacobian
@@ -139,11 +151,26 @@ def test_brute_force_guard():
 
 def test_brute_force_f3_candidate_counts():
     # |P^3(F_3)| * |P^5(F_3)| = 40 * 364 = 14560
-    from conics92.harness import _enumerate_conics_int, _enumerate_planes_int
-
-    assert _enumerate_planes_int(3).shape[0] == 40
-    assert _enumerate_conics_int(3).shape[0] == 364
+    assert _projective_reps(3, 4).shape[0] == 40
+    assert _projective_reps(3, 6).shape[0] == 364
     assert 40 * 364 == 14560
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("width", [4, 6])
+def test_projective_reps_are_normalized_and_ordered(q, width):
+    # brute_force_fq lists its zeros in this order
+    reps = _projective_reps(q, width)
+    n = reps.shape[0]
+    assert n == (q**width - 1) // (q - 1)
+    assert len(np.unique(reps, axis=0)) == n
+    assert ((reps >= 0) & (reps < q)).all()
+    lead = np.argmax(reps != 0, axis=1)
+    assert (reps[np.arange(n), lead] == 1).all()
+    # lead slot by lead slot, and lexicographic inside one lead slot
+    assert (np.diff(lead) >= 0).all()
+    codes = reps @ q ** np.arange(width - 1, -1, -1)
+    assert (np.diff(codes)[np.diff(lead) == 0] > 0).all()
 
 
 def test_brute_force_finds_planted(planted_instance):
@@ -229,11 +256,29 @@ def test_brute_force_solutions_satisfy_incidence(planted_instance):
             assert conic_value(s.conic, plane_coords(s.istar, x)) == 0
 
 
-def test_incidence_agreement_f3():
-    report = incidence_agreement(gen_random_instance(0, 10), 3)
-    assert report["candidates"] == 14560
-    assert report["discrepancies"] == 0
-    assert report["evaluations"] >= 14560
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_meet_points_agree_with_the_incidence_oracle(p):
+    # the brute-force kernels' chart_tensor points against the elimination
+    # formula, on every plane of P^3(F_p)
+    fp = PrimeField(p)
+    red = reduce_instance(gen_random_instance(0, 10), p)
+    planes = _projective_reps(p, 4)
+    lead = np.argmax(planes != 0, axis=1)
+    in_plane = 0
+    for i in range(4):
+        block = planes[lead == i]
+        z = _meet_points(_line_rows(red), i, block, p)
+        for plane, zp in zip(block, z):
+            pl = Plane3(tuple(fp(int(v)) for v in plane))
+            for line, zn in zip(red.lines, zp):
+                try:
+                    x = plane_coords(i, meet_plane_oracle(line, pl))
+                except LineInPlane:
+                    assert not zn.any(), f"line in plane {plane}, point {zn}"
+                    in_plane += 1
+                    continue
+                assert zn.any() and proj_equal(tuple(fp(int(v)) for v in zn), x)
+    assert in_plane > 0
 
 
 def test_verify_report(instances, solutions):

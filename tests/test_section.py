@@ -14,7 +14,6 @@ from conics92.geometry import (
     chart_embed,
     conic_coeffs_transition,
     insert_one,
-    meet_plane,
     meet_plane_oracle,
     plane_coords,
     proj_equal,
@@ -34,6 +33,7 @@ from helpers import (
     conic_through_5,
     expanded_section_polys,
     jacobian_via_laplace,
+    meet_plane,
     tangent_diagnostics,
 )
 
