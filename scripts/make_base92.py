@@ -62,7 +62,7 @@ def planted_zeros():
     planted = np.array([complex(v) for v in point.a + point.b])
     zeros = solver._candidates([planted], [(point.chart.i, point.chart.j)], inst.lines)
     rng = np.random.default_rng([SEED, 0xBA5E])
-    zeros, loops = solver.monodromy(inst.lines, zeros, 92, LOOP_BUDGET, 1, rng, [])
+    zeros, loops = solver.monodromy(inst.lines, zeros, 1, rng, [])
     if len(zeros) != 92:
         raise SystemExit(f"found {len(zeros)} zeros after {loops} loops")
     rows = solver._unit_rows(solver._line_arrays(inst.lines))
@@ -82,7 +82,7 @@ def draw_zeros(k: int, start, real_zeros):
     ends = solver._leg(start, rows, x, charts, 1, rng, [])
     zeros = solver._distinct_zeros(solver._candidates(*ends, lines))
     found = len(zeros)
-    zeros, loops = solver.monodromy(lines, zeros, 92, LOOP_BUDGET, 1, rng, [])
+    zeros, loops = solver.monodromy(lines, zeros, 1, rng, [])
     print(f"draw {k}: {found} zeros from the leg, {len(zeros)} after {loops} loops")
     return rows, lines, zeros
 
@@ -119,4 +119,5 @@ def main(out: Path) -> None:
 
 
 if __name__ == "__main__":
+    solver._LOOP_BUDGET = LOOP_BUDGET  # growing one zero to 92 takes more loops than a solve
     main(Path(sys.argv[1]) if len(sys.argv) > 1 else OUT)

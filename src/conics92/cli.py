@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from .errors import Conics92Error
-from .fields import PrimeField, PrimeFieldElement, QuadExtElement
+from .fields import PrimeFieldElement, QuadExtElement, field_one, square_class
 from .gw import GwForm, gw_add, invariants
 from .harness import (
     Instance,
@@ -20,67 +20,29 @@ from .harness import (
 )
 from .solver import SolverOptions, solve_all
 
-_TERM_RE = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?(H|<\s*(-?\d+(?:/\d+)?)\s*>)\s*$")
+# one signed term: the sign is optional on the first term only
+_TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?(?:(H)|<\s*(-?\d+(?:/\d+)?)\s*>)\s*")
 
 
 def parse_gw_expression(text: str, field: str) -> GwForm:
-    """Parse expressions like "<1>+<-1>", "46*H", "2*<5>+H"."""
-    form = GwForm.zero(_field_tag(field))
+    """Parse expressions like "<1>+<-1>", "46*H", "2*<5>+H" over the field
+    tagged "Q", "R", "C", "F<p>" or "F<p>^2"."""
+    one = field_one(field)
+    form = GwForm.zero(square_class(one).field)
     pos = 0
-    sign = 1
-    text = text.strip()
     while pos < len(text):
-        nxt_plus = text.find("+", pos + 1)
-        nxt_minus = text.find("-", pos + 1)
-        # a minus inside <...> belongs to the value, not the expression
-        while nxt_minus != -1 and text.rfind("<", pos, nxt_minus) > text.rfind(
-            ">", pos, nxt_minus
-        ):
-            nxt_minus = text.find("-", nxt_minus + 1)
-        cut = min(x for x in (nxt_plus, nxt_minus, len(text)) if x != -1)
-        term = text[pos:cut]
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ValueError(f"cannot parse term {term!r}")
-        mult = int(m.group(1)) if m.group(1) else 1
-        if m.group(2) == "H":
-            atom = GwForm.hyperbolic(_field_tag(field))
+        m = _TERM_RE.match(text, pos)
+        if not m or (pos and not m.group(1)):
+            raise ValueError(f"cannot parse {text[pos:]!r}")
+        mult = (-1 if m.group(1) == "-" else 1) * int(m.group(2) or 1)
+        if m.group(3):
+            atom = GwForm.hyperbolic(form.field)
         else:
-            atom = GwForm.unit(_atom_value(m.group(3), field))
-        form = gw_add(form, (sign * mult) * atom)
-        if cut == len(text):
-            break
-        sign = 1 if text[cut] == "+" else -1
-        pos = cut + 1
+            q = Fraction(m.group(4))
+            atom = GwForm.unit(one * q.numerator / q.denominator)
+        form = gw_add(form, mult * atom)
+        pos = m.end()
     return form
-
-
-def _field_tag(field: str) -> str:
-    if field in ("R", "Q", "C"):
-        return field
-    if re.fullmatch(r"F\d+", field):
-        return PrimeField(int(field[1:])).tag
-    raise ValueError(f"unknown field {field!r}")
-
-
-def _atom_value(text: str, field: str):
-    if field == "Q":
-        return Fraction(text)
-    if field == "R":
-        return float(Fraction(text))
-    if field == "C":
-        return complex(float(Fraction(text)))
-    p = int(field[1:])
-    q = Fraction(text)
-    elt = PrimeFieldElement(p, q.numerator) / q.denominator
-    return elt
-
-
-def _solver_options(args) -> SolverOptions:
-    chart = tuple(int(v) for v in args.chart.split(","))
-    if len(chart) != 2:
-        raise ValueError("--chart expects i,j")
-    return SolverOptions(seed=args.seed, chart=chart, threads=args.threads)
 
 
 def _load_instance(args) -> Instance:
@@ -118,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lines", help="instance JSON file")
         p.add_argument("--seed", type=int, default=0, help="instance/solver seed")
         p.add_argument("--bound", type=int, default=10)
-        p.add_argument("--chart", default="0,0")
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out")
 
@@ -158,13 +119,13 @@ def cli_main(argv=None) -> int:
     try:
         if args.command == "solve":
             instance = _load_instance(args)
-            sset = solve_all(instance.lines, _solver_options(args))
+            sset = solve_all(instance.lines, SolverOptions(args.seed, args.threads))
             _emit(sset.to_json(), args.out)
             return 0
 
         if args.command == "verify":
             instance = _load_instance(args)
-            report = verify(instance, _solver_options(args))
+            report = verify(instance, SolverOptions(args.seed, args.threads))
             _emit(report.to_json(), args.out)
             return 0 if report.passed else 1
 
@@ -211,7 +172,7 @@ def cli_main(argv=None) -> int:
                 args.out,
             )
             return 0
-    except (Conics92Error, ValueError, OSError) as exc:
+    except (Conics92Error, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

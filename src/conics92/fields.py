@@ -10,6 +10,7 @@ geometry and section formulas evaluate uniformly over any of them.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from .errors import UnsupportedExtension, UnsupportedField, ZeroElement
 RATIONAL = "Q"
 REAL = "R"
 COMPLEX = "C"
+_ONES = {RATIONAL: Fraction(1), REAL: 1.0, COMPLEX: 1 + 0j}
 
 
 def prime_field_tag(p: int) -> str:
@@ -434,6 +436,16 @@ class QuadExtField:
         return f"QuadExtField(p={self.p}, t^2+{self.gamma})"
 
 
+def field_one(tag: str):
+    """The 1 of the field tagged "Q", "R", "C", "F<p>" or "F<p>^2"."""
+    if tag in _ONES:
+        return _ONES[tag]
+    m = re.fullmatch(r"F(\d+)(\^2)?", tag)
+    if m is None:
+        raise ValueError(f"unknown field {tag!r}")
+    return (QuadExtField if m.group(2) else PrimeField)(int(m.group(1))).one()
+
+
 def ensure_finite(z: complex) -> complex:
     """Complex numbers must be finite wherever they are stored."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -484,21 +496,9 @@ class SquareClass:
         return f"<{self.rep}>@{self.field}"
 
 
-def _nonzero(x) -> bool:
-    if isinstance(x, (int, Fraction, float)):
-        return x != 0
-    if isinstance(x, complex):
-        return x != 0
-    if isinstance(x, PrimeFieldElement):
-        return x.value != 0
-    if isinstance(x, QuadExtElement):
-        return (x.c0, x.c1) != (0, 0)
-    raise UnsupportedField(f"unsupported scalar {type(x).__name__}")
-
-
 def is_square(x) -> bool:
     """True iff the nonzero element x is a square in its field."""
-    if not _nonzero(x):
+    if x == 0:
         raise ZeroElement("0 has no square class")
     if isinstance(x, (int, Fraction)):
         q = Fraction(x)
@@ -521,7 +521,7 @@ def is_square(x) -> bool:
 
 def square_class(x) -> SquareClass:
     """Canonical square class of a nonzero field element."""
-    if not _nonzero(x):
+    if x == 0:
         raise ZeroElement("0 has no square class")
     if isinstance(x, (int, Fraction)):
         q = Fraction(x)
@@ -553,22 +553,6 @@ def field_trace(x: QuadExtElement) -> PrimeFieldElement:
 # ---------------------------------------------------------------------------
 # serialization helpers
 # ---------------------------------------------------------------------------
-
-def rational_to_str(q: Fraction) -> str:
-    return str(Fraction(q))
-
-
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
-def prime_elt_to_json(x: PrimeFieldElement) -> dict:
-    return {"p": x.p, "v": x.value}
-
-
-def prime_elt_from_json(d: dict) -> PrimeFieldElement:
-    return PrimeFieldElement(int(d["p"]), int(d["v"]))
-
 
 def complex_to_json(z: complex) -> list:
     z = ensure_finite(complex(z))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LineInPlane, NotInChart
-from .fields import PrimeFieldElement, QuadExtElement
 from .linalg import det
 
 
@@ -26,34 +25,20 @@ def coerce_scalars(values) -> tuple:
 
     Int-only input becomes exact rationals, so later divisions stay exact.
     """
-    vals = list(values)
-    ref = next((v for v in vals if not isinstance(v, int)), None)
+    vals = tuple(values)
+    zero = next((v for v in vals if not isinstance(v, int)), Fraction(0)) * 0
+    return tuple(zero + v if isinstance(v, int) else v for v in vals)
 
-    def conv(v):
-        if not isinstance(v, int):
-            return v
-        if ref is None or isinstance(ref, Fraction):
-            return Fraction(v)
-        if isinstance(ref, float):
-            return float(v)
-        if isinstance(ref, complex):
-            return complex(v)
-        if isinstance(ref, PrimeFieldElement):
-            return PrimeFieldElement(ref.p, v)
-        if isinstance(ref, QuadExtElement):
-            return QuadExtElement(ref.field, v, 0)
-        return v
-
-    return tuple(conv(v) for v in vals)
 
 # ambient indices kept by the plane-coordinate projection of chart i
 PLANE_COORD_INDICES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
-def _rank2(p, s) -> bool:
-    return any(
-        p[u] * s[v] - p[v] * s[u] != 0 for u in range(4) for v in range(u + 1, 4)
-    )
+def plucker(line) -> tuple:
+    """The six 2x2 minors of the two points spanning the line; they all
+    vanish exactly when the points are projectively equal."""
+    p, s = line.p, line.s
+    return tuple(p[u] * s[v] - p[v] * s[u] for u in range(4) for v in range(u + 1, 4))
 
 
 @dataclass(frozen=True)
@@ -68,7 +53,7 @@ class Line3:
             raise ValueError("line points need 4 homogeneous coordinates")
         object.__setattr__(self, "p", coerce_scalars(self.p))
         object.__setattr__(self, "s", coerce_scalars(self.s))
-        if not _rank2(self.p, self.s):
+        if not any(m != 0 for m in plucker(self)):
             raise ValueError("line points are projectively equal")
 
 

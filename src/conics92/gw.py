@@ -16,10 +16,9 @@ from .fields import (
     COMPLEX,
     RATIONAL,
     REAL,
-    PrimeFieldElement,
     QuadExtElement,
-    QuadExtField,
     SquareClass,
+    field_one,
     field_trace,
     square_class,
 )
@@ -30,22 +29,11 @@ UNDECIDED = "undecided"
 
 
 def _unit_class(field: str) -> SquareClass:
-    return SquareClass(field, (1, 0) if field.endswith("^2") else 1)
+    return square_class(field_one(field))
 
 
 def _minus_one_class(field: str) -> SquareClass:
-    if field == COMPLEX:
-        return _unit_class(field)
-    if field == REAL:
-        return SquareClass(REAL, -1)
-    if field == RATIONAL:
-        return SquareClass(RATIONAL, -1)
-    if field.endswith("^2"):
-        p = int(field[1:-2])
-        f = QuadExtField(p)
-        return square_class(-f.one())
-    p = int(field[1:])
-    return square_class(PrimeFieldElement(p, p - 1))
+    return square_class(-field_one(field))
 
 
 @dataclass(frozen=True)

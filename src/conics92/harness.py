@@ -24,12 +24,7 @@ from .errors import (
     ExhaustedRetries,
     TooLarge,
 )
-from .fields import (
-    PrimeField,
-    QuadExtField,
-    rational_from_str,
-    rational_to_str,
-)
+from .fields import PrimeField, QuadExtField
 from .geometry import (
     PLANE_COORD_INDICES,
     Chart,
@@ -43,6 +38,8 @@ from .geometry import (
     genericity_check,
     insert_one,
     meet_plane_oracle,  # unused; bench/tracing.py patches it until ROADMAP item 8
+    plucker,
+    proj_equal,
 )
 from .gw import EQUAL, GwForm, gw_equal, invariants
 from .linalg import adjugate3, det
@@ -80,15 +77,13 @@ class Instance:
             return None
         return ChartPoint(
             Chart(*data["chart"]),
-            tuple(rational_from_str(v) for v in data["a"]),
-            tuple(rational_from_str(v) for v in data["b"]),
+            tuple(Fraction(v) for v in data["a"]),
+            tuple(Fraction(v) for v in data["b"]),
         )
 
     def to_json(self) -> dict:
         def coord(v):
-            if isinstance(v, float):
-                return v
-            return rational_to_str(Fraction(v))
+            return v if isinstance(v, float) else str(Fraction(v))
 
         return {
             "field": self.field,
@@ -111,11 +106,7 @@ class Instance:
             raise ValueError("mixed float and exact coordinates are not allowed")
 
         def coord(v):
-            if isinstance(v, float):
-                return v
-            if isinstance(v, str):
-                return rational_from_str(v)
-            return Fraction(v)
+            return v if isinstance(v, float) else Fraction(v)
 
         lines = tuple(
             Line3(tuple(coord(v) for v in ln["p"]), tuple(coord(v) for v in ln["s"]))
@@ -288,8 +279,8 @@ def _try_plant(rng: random.Random) -> Instance:
         "kind": "planted",
         "seed": None,
         "chart": [istar, jstar],
-        "a": [rational_to_str(v) for v in planted.a],
-        "b": [rational_to_str(v) for v in planted.b],
+        "a": [str(v) for v in planted.a],
+        "b": [str(v) for v in planted.b],
     }
     return Instance(lines=tuple(lines), field="Q", meta={"planted": meta, "kind": "planted"})
 
@@ -297,23 +288,6 @@ def _try_plant(rng: random.Random) -> Instance:
 # ---------------------------------------------------------------------------
 # reduction mod p
 # ---------------------------------------------------------------------------
-
-def _same_line_mod_p(l1: Line3, l2: Line3) -> bool:
-    """True if the two spans coincide (rank of the stacked 4x4 is 2)."""
-    rows = [list(l1.p), list(l1.s), list(l2.p), list(l2.s)]
-    rank = 0
-    for col in range(4):
-        piv = next((r for r in range(rank, 4) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(4):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [rows[r][c] - f * rows[rank][c] for c in range(4)]
-        rank += 1
-    return rank <= 2
-
 
 def reduce_instance(instance: Instance, p: int) -> Instance:
     """Reduce an exact instance mod p; raises BadReduction for bad primes.
@@ -337,9 +311,10 @@ def reduce_instance(instance: Instance, p: int) -> Instance:
             lines.append(Line3(tuple(red(v) for v in ln.p), tuple(red(v) for v in ln.s)))
         except ValueError as exc:
             raise BadReduction(f"line degenerates mod {p}: {exc}") from exc
+    minors = [plucker(ln) for ln in lines]
     for m in range(8):
         for k in range(m + 1, 8):
-            if _same_line_mod_p(lines[m], lines[k]):
+            if proj_equal(minors[m], minors[k]):
                 raise BadReduction(f"lines {m} and {k} coincide mod {p}")
     report = genericity_check(lines)
 
@@ -371,16 +346,6 @@ def reduce_instance(instance: Instance, p: int) -> Instance:
             "b": [v.value for v in b_red],
         }
     return out
-
-
-def good_reduction_prime(instance: Instance, candidates=(3, 5, 7, 11, 13)) -> int:
-    for p in candidates:
-        try:
-            reduce_instance(instance, p)
-            return p
-        except BadReduction:
-            continue
-    raise BadReduction(f"no good prime among {candidates}")
 
 
 # ---------------------------------------------------------------------------

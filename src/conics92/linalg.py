@@ -1,41 +1,24 @@
 """Exact determinants for small dense matrices over any supported scalar.
 
 Rational matrices are scaled to integers and run through fraction-free
-Bareiss elimination; finite-field matrices use the same elimination with
-field division; float/complex matrices go to LAPACK.
+Bareiss elimination with exact integer division; finite-field matrices run
+the same elimination with field division; float/complex matrices go to
+LAPACK.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 
-def _det_bareiss_int(m: list[list[int]]) -> int:
+def _bareiss(m: list, div) -> object:
+    """Fraction-free elimination on the rows m, in place; `div` divides by
+    the previous pivot, which divides exactly."""
     n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _det_field(rows) -> object:
-    # fraction-free elimination; over a field the divisions are exact anyway
-    n = len(rows)
-    m = [list(r) for r in rows]
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -48,8 +31,7 @@ def _det_field(rows) -> object:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 v = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = v if prev is None else v / prev
-            m[i][k] = m[i][k] - m[i][k]  # zero of the right type
+                m[i][j] = v if prev is None else div(v, prev)
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
@@ -65,22 +47,12 @@ def det(rows) -> object:
         return complex(np.linalg.det(np.asarray(rows, dtype=complex)))
     if any(isinstance(x, float) for x in flat):
         return float(np.linalg.det(np.asarray(rows, dtype=float)))
-    if all(isinstance(x, (int, Fraction)) for x in flat):
-        scales = []
-        m = []
-        for row in rows:
-            fr = [Fraction(x) for x in row]
-            lcm = 1
-            for x in fr:
-                lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-            scales.append(lcm)
-            m.append([int(x * lcm) for x in fr])
-        d = _det_bareiss_int(m)
-        total = 1
-        for s in scales:
-            total *= s
-        return Fraction(d, total)
-    return _det_field(rows)
+    if not all(isinstance(x, (int, Fraction)) for x in flat):
+        return _bareiss([list(r) for r in rows], operator.truediv)
+    # each row scaled to integers by the lcm of its denominators
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    m = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)]
+    return Fraction(_bareiss(m, operator.floordiv), math.prod(scales))
 
 
 def adjugate3(c):

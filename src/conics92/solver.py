@@ -25,7 +25,7 @@ stops each path's corrector once its move passes, and solves [H, H_t] at
 once: the last tangent column is the next step's k1, evaluated afresh only
 at a path's start and after a chart switch.  That is about 5.7 homotopy
 evaluations per step (`stats["eval_rows"]`), where RK4 and three
-corrections took 7.  Paths start in the requested chart, and a point whose
+corrections took 7.  Paths start in chart (0, 0), and a point whose
 coordinates pass _CHART_NORM moves to its best chart, so no path runs off
 to a chart's infinity.  A path ends "converged" at t=0 or
 "failed" on step underflow or after _MAX_STEPS steps.  The endpoint stage
@@ -98,6 +98,8 @@ TOL_DEDUP = 1e-6
 REAL_TOL = 1e-8
 SIGMA_FLOOR = 1e-8
 _MAX_STEPS = 5000
+# the paper's count of conics meeting 8 general lines
+EXPECTED_COUNT = 92
 # monodromy loops solve_all runs before it reports a count mismatch; with 4
 # of the 92 zeros dropped, one or two loops found them again (seeds 42, 44
 # and 46, three draws each)
@@ -107,9 +109,7 @@ _LOOP_BUDGET = 8
 @dataclass(frozen=True)
 class SolverOptions:
     seed: int = 0
-    chart: tuple = (0, 0)
     threads: int = 1
-    expected_count: int | None = 92
 
 
 def _line_arrays(lines) -> np.ndarray:
@@ -287,10 +287,10 @@ def _to_chart(x, chart: tuple, to: tuple | None = None) -> tuple:
     return (i, j), np.concatenate([np.delete(abar, i) / abar[i], np.delete(c, j) / c[j]])
 
 
-def start_solutions(chart: Chart) -> np.ndarray:
-    """The base instance's 92 zeros in the tracking chart, (92, 8)."""
-    to = (chart.i, chart.j)
-    return np.array([_to_chart(z, (0, 0), to)[1] for z in base_instance()[1]])
+def start_solutions() -> np.ndarray:
+    """The base instance's 92 zeros, where tracking starts, in chart
+    (0, 0), (92, 8)."""
+    return base_instance()[1]
 
 
 def _batch_solve(a, b):
@@ -583,17 +583,17 @@ def _leg(start, end, x, charts, threads: int, rng, paths: list):
     return xe[done], ce[done]
 
 
-def monodromy(lines, zeros: list, want: int, budget: int, threads: int, rng, paths: list):
+def monodromy(lines, zeros: list, threads: int, rng, paths: list):
     """Monodromy loops at `lines` from the distinct zeros found so far.
 
     Each loop tracks them to random complex lines and back, a fresh gamma
     per leg, and adds the endpoints to the distinct zeros.  Stops once
-    `want` zeros are found or `budget` loops have run; returns the distinct
-    zeros and the number of loops run.
+    EXPECTED_COUNT zeros are found or `_LOOP_BUDGET` loops have run;
+    returns the distinct zeros and the number of loops run.
     """
     target = _unit_rows(_line_arrays(lines))
     loops = 0
-    while len(zeros) < want and loops < budget:
+    while len(zeros) < EXPECTED_COUNT and loops < _LOOP_BUDGET:
         loops += 1
         draw = rng.standard_normal((2, 2, 8, 4))
         mid = _unit_rows(draw[0] + 1j * draw[1])
@@ -610,28 +610,23 @@ def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
 
     `_candidates` turns the converged endpoints into zeros, and
     `_distinct_zeros` deduplicates them before `_classify`.  While fewer
-    than `opts.expected_count` zeros are found, monodromy loops at the
-    target look for the rest (none when the count is None).  Raises
-    CountMismatch if, after at most `_LOOP_BUDGET` loops, the number of
-    zeros (counted with conjugates) differs from the expected count, if a
-    non-real zero is left without its conjugate, or if a zero is not simple
-    (`sigma_min` at most SIGMA_FLOOR).
+    than EXPECTED_COUNT zeros are found, monodromy loops at the target look
+    for the rest.  Raises CountMismatch if, after at most `_LOOP_BUDGET`
+    loops, a non-real zero is left without its conjugate, if the number of
+    zeros (counted with conjugates) differs from EXPECTED_COUNT, or if a
+    zero is not simple (`sigma_min` at most SIGMA_FLOOR).
     """
     opts = opts or SolverOptions()
     t0 = time.time()
     rng = np.random.default_rng([opts.seed, 0x5EED])
     paths: list = []
-    starts = start_solutions(Chart(*opts.chart))
-    charts = np.tile(opts.chart, (len(starts), 1))
+    starts = start_solutions()
+    charts = np.zeros((len(starts), 2), dtype=int)
     target = _unit_rows(_line_arrays(lines))
     ends = _leg(base_instance()[0], target, starts, charts, opts.threads, rng, paths)
     zeros = _distinct_zeros(_candidates(*ends, lines))
     n_base = len(paths)
-    loops = 0
-    if opts.expected_count is not None:
-        zeros, loops = monodromy(
-            lines, zeros, opts.expected_count, _LOOP_BUDGET, opts.threads, rng, paths
-        )
+    zeros, loops = monodromy(lines, zeros, opts.threads, rng, paths)
 
     reals, pairs, leftovers = _classify(zeros)
     solutions = sorted(
@@ -650,19 +645,16 @@ def solve_all(lines, opts: SolverOptions | None = None) -> SolutionSet:
         "unpaired": len(leftovers),
         "fallback_charts": [],
         "seed": opts.seed,
-        "chart": list(opts.chart),
         "wall_time": time.time() - t0,
     }
     sset = SolutionSet(solutions=solutions, paths=paths, stats=stats)
 
-    if opts.expected_count is not None and sset.count != opts.expected_count:
-        raise CountMismatch(
-            f"found {sset.count} zeros (expected {opts.expected_count}); stats={stats}"
-        )
     if leftovers:
         raise CountMismatch(
             f"{len(leftovers)} non-real zeros without a conjugate; stats={stats}"
         )
+    if sset.count != EXPECTED_COUNT:
+        raise CountMismatch(f"found {sset.count} zeros (expected {EXPECTED_COUNT}); stats={stats}")
     if any(s.sigma_min <= SIGMA_FLOOR for s in solutions):
         raise CountMismatch("a zero with a singular Jacobian was found")
     return sset
@@ -689,7 +681,7 @@ def _track_parallel(hom: ParameterHomotopy, starts, charts, threads: int):
 def assemble_enriched_count(sset: SolutionSet) -> GwForm:
     """Sum of local contributions: <sign> per real conic, the hyperbolic
     form per conjugate pair; a complete set of 92 zeros is required."""
-    if sset.count != 92:
+    if sset.count != EXPECTED_COUNT:
         raise IncompleteSet(f"need 92 zeros counted with conjugates, got {sset.count}")
     form = GwForm.zero(REAL)
     for s in sset.solutions:

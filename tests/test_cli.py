@@ -15,6 +15,7 @@ def test_verify_writes_the_count(tmp_path):
 def test_removed_tolerance_flag_is_a_usage_error():
     assert cli_main(["solve", "--tol-residual", "1e-9"]) == 2
     assert cli_main(["bruteforce", "--p", "5", "--lines", "x.json", "--agreement"]) == 2
+    assert cli_main(["solve", "--chart", "1,2"]) == 2
 
 
 def test_gw_expressions(tmp_path):
@@ -30,4 +31,13 @@ def test_gw_expressions(tmp_path):
 @pytest.mark.parametrize("field", ["F1", "F2", "F9"])
 def test_gw_rejects_a_field_that_is_not_an_odd_prime(field, capsys):
     assert cli_main(["gw", "<1>+H", "--field", field]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "expression, field",
+    [("<1/3>", "F3"), ("<1/0>", "R"), ("<1>+", "R")],
+)
+def test_gw_rejects_a_zero_denominator_and_a_trailing_operator(expression, field, capsys):
+    assert cli_main(["gw", expression, "--field", field]) == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -14,6 +14,7 @@ from conics92.geometry import (
     genericity_check,
     meet_plane_oracle,
     plane_coords,
+    plucker,
     proj_equal,
 )
 from conics92.harness import (
@@ -24,9 +25,9 @@ from conics92.harness import (
     brute_force_fq,
     gen_planted_instance,
     gen_random_instance,
-    good_reduction_prime,
     reduce_instance,
 )
+from conics92.linalg import det
 from conics92.section import SectionSystem, eval_section, jacobian
 
 from conftest import PLANTED_PRIME
@@ -102,7 +103,23 @@ def test_reduce_instance_good_prime(planted_instance):
     )
     system = SectionSystem(pt.chart, red.lines)
     assert all(v == 0 for v in eval_section(system, pt))
-    assert good_reduction_prime(planted_instance) == PLANTED_PRIME
+
+
+def test_reduce_instance_rejects_lines_that_coincide_mod_p(planted_instance):
+    p = PLANTED_PRIME
+    lines = planted_instance.lines
+    # line 1 becomes another spanning pair of line 0 mod p, distinct over Q:
+    # (2 p0 + s0, p0 - s0) has determinant -3 against (p0, s0)
+    pairs = zip(lines[0].p, lines[0].s, (p, 0, 0, 0), (0, p, 0, 0))
+    u, v = zip(*((2 * a + b + e, a - b + f) for a, b, e, f in pairs))
+    same = (lines[0], Line3(u, v)) + lines[2:]
+    assert not proj_equal(plucker(same[0]), plucker(same[1]))
+    with pytest.raises(BadReduction, match=f"lines 0 and 1 coincide mod {p}"):
+        reduce_instance(Instance(lines=same), p)
+    # lines 0 and 1 of the planted instance are skew mod p and reduce
+    fp = PrimeField(p)
+    assert det([[fp(x) for x in ln.p] for ln in lines[:2]] + [[fp(x) for x in ln.s] for ln in lines[:2]]) != 0
+    assert reduce_instance(planted_instance, p).field == f"F{p}"
 
 
 def test_reduction_jacobian_compatibility(planted_instance):
