@@ -28,7 +28,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from conics92 import solver  # noqa: E402
 from conics92.fields import complex_from_json  # noqa: E402
-from conics92.geometry import insert_one  # noqa: E402
 from conics92.harness import gen_random_instance  # noqa: E402
 from helpers import match_solution_sets, same_real_zeros  # noqa: E402
 
@@ -38,20 +37,15 @@ TOL = 1e-9
 def _from_json(data: dict) -> solver.SolutionSet:
     sols = []
     for d in data["solutions"]:
-        i, j = d["chart"]
-        a = tuple(complex_from_json(v) for v in d["a"])
-        b = tuple(complex_from_json(v) for v in d["b"])
         sols.append(
             solver.ConicSolution(
-                chart=(i, j),
-                a=a,
-                b=b,
+                chart=tuple(d["chart"]),
+                a=tuple(complex_from_json(v) for v in d["a"]),
+                b=tuple(complex_from_json(v) for v in d["b"]),
                 det_jac=complex_from_json(d["jacobian"]),
                 reality=d["reality"],
                 sign=d["sign"],
                 residual=d["residual"],
-                abar=insert_one(a, i, 1.0 + 0j),
-                cbar=insert_one(b, j, 1.0 + 0j),
             )
         )
     return solver.SolutionSet(solutions=sols, paths=[], stats=data["stats"])

@@ -39,22 +39,10 @@ class NotInChart(Conics92Error):
     """The point lies outside the requested affine chart."""
 
 
-class DegeneratePoint(Conics92Error):
-    """A trivialization point degenerated to the zero vector."""
-
-
-class DegenerateConfiguration(Conics92Error):
-    """The five points do not impose independent conditions on conics."""
-
-
 # -- section evaluation ----------------------------------------------------------
 
 class SingularZero(Conics92Error):
     """The Jacobian determinant vanishes at a zero of the section."""
-
-
-class ConePoint(Conics92Error):
-    """Tangent data was requested at the cone point (0,0,0)."""
 
 
 # -- solver ---------------------------------------------------------------------

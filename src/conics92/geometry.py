@@ -252,8 +252,8 @@ class GenericityReport:
         return {
             "pairwise_skew": self.pairwise_skew,
             "distinct_points": self.distinct_points,
-            "skew_failures": list(self.skew_failures),
-            "point_failures": list(self.point_failures),
+            "skew_failures": [list(f) for f in self.skew_failures],
+            "point_failures": [list(f) for f in self.point_failures],
             "pass": self.passed,
         }
 

@@ -24,7 +24,7 @@ from .errors import (
     ExhaustedRetries,
     TooLarge,
 )
-from .fields import PrimeField, QuadExtField
+from .fields import PrimeField, PrimeFieldElement, QuadExtField, field_one
 from .geometry import (
     PLANE_COORD_INDICES,
     Chart,
@@ -83,6 +83,8 @@ class Instance:
 
     def to_json(self) -> dict:
         def coord(v):
+            if isinstance(v, PrimeFieldElement):
+                return v.value
             return v if isinstance(v, float) else str(Fraction(v))
 
         return {
@@ -96,7 +98,6 @@ class Instance:
 
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
-        raw = []
         kinds = set()
         for ln in data["lines"]:
             for key in ("p", "s"):
@@ -105,16 +106,20 @@ class Instance:
         if kinds == {"float", "exact"}:
             raise ValueError("mixed float and exact coordinates are not allowed")
 
+        field = data.get("field", "Q")
+        one = field_one(field)
+
         def coord(v):
-            return v if isinstance(v, float) else Fraction(v)
+            if isinstance(v, float):
+                return v
+            q = Fraction(v)
+            return one * q.numerator / q.denominator
 
         lines = tuple(
             Line3(tuple(coord(v) for v in ln["p"]), tuple(coord(v) for v in ln["s"]))
             for ln in data["lines"]
         )
-        return cls(
-            lines=lines, field=data.get("field", "Q"), meta=data.get("meta", {})
-        )
+        return cls(lines=lines, field=field, meta=data.get("meta", {}))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

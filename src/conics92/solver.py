@@ -57,7 +57,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import CountMismatch, IncompleteSet
+from .errors import CountMismatch, IncompleteSet, NotInChart
 from .fields import REAL, SquareClass, complex_to_json
 from .geometry import Chart, conic_coeffs_transition, insert_one
 from .gw import GwForm
@@ -199,10 +199,7 @@ class ParameterHomotopy:
 
 @dataclass
 class TrackedPath:
-    start: np.ndarray
     status: str
-    endpoint: np.ndarray | None
-    chart: tuple  # the endpoint's chart
     steps: int
     eval_rows: int  # homotopy evaluations at one point, over every step
 
@@ -216,11 +213,20 @@ class ConicSolution:
     reality: str
     sign: int | None
     residual: float
-    abar: tuple  # projective plane representative (4,)
-    cbar: tuple  # conic coefficients in the chart-i interpretation (6,)
     # the smallest singular value of the Jacobian on the scaled lines in
     # this chart (see Conventions); nan when not measured
     sigma_min: float = float("nan")
+
+    @property
+    def abar(self) -> tuple:
+        """The plane's representative (4,) with a 1 at slot chart[0]."""
+        return insert_one(self.a, self.chart[0], type(self.a[0])(1))
+
+    @property
+    def cbar(self) -> tuple:
+        """The conic's coefficients (6,) in the chart-i plane coordinates,
+        with a 1 at slot chart[1]."""
+        return insert_one(self.b, self.chart[1], type(self.b[0])(1))
 
     def to_json(self) -> dict:
         return {
@@ -391,35 +397,17 @@ def _track_block(hom: ParameterHomotopy, starts, charts):
     return status, x, charts, steps, rows
 
 
-def _proj_dist(x, y) -> float:
-    """Projective max-norm distance, normalizing both by x's largest slot."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    s = int(np.argmax(np.abs(x)))
-    if y[s] == 0:
+def projective_pair_dist(u: ConicSolution, v: ConicSolution) -> float:
+    """Distance between two zeros as points of the moduli space: the
+    max-norm gap of their coordinates in u's best chart, inf where v has no
+    point in that chart."""
+    chart, xu = _to_chart(np.array(u.a + u.b), u.chart)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, xv = _to_chart(np.array(v.a + v.b), v.chart, chart)
+    except NotInChart:
         return np.inf
-    return float(np.max(np.abs(x / x[s] - y / y[s])))
-
-
-def projective_pair_dist(
-    sol_a: ConicSolution, sol_b: ConicSolution, cutoff: float = 10.0
-) -> float:
-    """Distance between two solutions as points of the moduli space.
-
-    Planes farther apart than `cutoff` give the plane distance alone; only
-    closer pairs pay for bringing the conics into one chart.
-    """
-    da = _proj_dist(sol_a.abar, sol_b.abar)
-    if not da <= cutoff:
-        return da
-    ia = int(np.argmax(np.abs(np.asarray(sol_a.abar))))
-    return max(da, _proj_dist(_conic_in_chart(sol_a, ia), _conic_in_chart(sol_b, ia)))
-
-
-def _conic_in_chart(sol: ConicSolution, i: int) -> np.ndarray:
-    if sol.chart[0] == i:
-        return np.asarray(sol.cbar)
-    return np.asarray(conic_coeffs_transition(sol.abar, sol.cbar, sol.chart[0], i))
+    return float(np.max(np.abs(xu - xv))) if np.isfinite(xv).all() else np.inf
 
 
 def _refine(system: NumericChartSystem, x):
@@ -462,27 +450,22 @@ def _chart_candidates(system: NumericChartSystem, x) -> list:
     sigma = np.full(len(x), np.nan)
     if zero.any():
         sigma[zero] = np.linalg.svd(system.eval(x[zero], jac=True)[1], compute_uv=False)[:, -1]
-    i, j, one = system.chart.i, system.chart.j, 1.0 + 0j
     out = []
     for coords, r, d, sig, is_real in zip(x, res, det, sigma, real):
         if not r <= TOL_RESIDUAL:
             out.append(None)
             continue
-        abar = np.array(insert_one(coords[:3], i, one))
-        cbar = np.array(insert_one(coords[3:], j, one))
         if is_real:
-            coords, abar, cbar = coords.real, abar.real, cbar.real
+            coords = coords.real
         out.append(
             ConicSolution(
-                chart=(i, j),
+                chart=(system.chart.i, system.chart.j),
                 a=tuple(coords[:3]),
                 b=tuple(coords[3:]),
                 det_jac=complex(d),
                 reality="real" if is_real else "pair",
                 sign=(1 if d.real > 0 else -1) if is_real else None,
                 residual=float(r),
-                abar=tuple(abar),
-                cbar=tuple(cbar),
                 sigma_min=float(sig),
             )
         )
@@ -506,7 +489,7 @@ def _candidates(endpoints, charts, lines) -> list:
 
 def _same_zero(u: ConicSolution, v: ConicSolution) -> bool:
     """The one same-zero test, for merging endpoints and pairing conjugates."""
-    return projective_pair_dist(u, v, cutoff=TOL_DEDUP) < TOL_DEDUP
+    return projective_pair_dist(u, v) < TOL_DEDUP
 
 
 def _planes(cands) -> np.ndarray:
@@ -547,7 +530,7 @@ def _classify(cands):
     for idx, cand in enumerate(nonreal):
         if used[idx]:
             continue
-        conj = replace(cand, abar=tuple(np.conj(cand.abar)), cbar=tuple(np.conj(cand.cbar)))
+        conj = replace(cand, a=tuple(np.conj(cand.a)), b=tuple(np.conj(cand.b)))
         near = np.flatnonzero(_near_planes(_planes([conj]), planes[idx + 1 :])[0]) + idx + 1
         partner = next((k for k in near if not used[k] and _same_zero(conj, nonreal[k])), None)
         if partner is None:
@@ -575,10 +558,8 @@ def _leg(start, end, x, charts, threads: int, rng, paths: list):
     gamma = complex(np.exp(2j * np.pi * rng.random()))
     hom = ParameterHomotopy(start, end, gamma)
     status, xe, ce, steps, rows = _track_parallel(hom, x, charts, threads)
-    for first, st, last, ch, n, r in zip(x, status, xe, ce, steps, rows):
-        name = _STATUS_NAMES[int(st)]
-        endpoint = last if name == "converged" else None
-        paths.append(TrackedPath(first, name, endpoint, tuple(map(int, ch)), int(n), int(r)))
+    for st, n, r in zip(status, steps, rows):
+        paths.append(TrackedPath(_STATUS_NAMES[int(st)], int(n), int(r)))
     done = status == _REACHED
     return xe[done], ce[done]
 

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from conics92.errors import ConePoint, DegenerateConfiguration, DegeneratePoint, LineInPlane
+from conics92.errors import Conics92Error, LineInPlane
 from conics92.geometry import (
     PLANE_COORD_INDICES,
     Chart,
@@ -31,6 +31,20 @@ from conics92.section import (
 )
 from conics92 import solver
 from conics92.solver import ConicSolution, projective_pair_dist
+
+
+# errors raised only by the oracles below
+
+class DegeneratePoint(Conics92Error):
+    """A trivialization point degenerated to the zero vector."""
+
+
+class DegenerateConfiguration(Conics92Error):
+    """The five points do not impose independent conditions on conics."""
+
+
+class ConePoint(Conics92Error):
+    """Tangent data was requested at the cone point (0,0,0)."""
 
 
 class Poly:
@@ -323,8 +337,6 @@ def conj_solution(s: ConicSolution) -> ConicSolution:
         reality=s.reality,
         sign=s.sign,
         residual=s.residual,
-        abar=tuple(np.conj(s.abar)),
-        cbar=tuple(np.conj(s.cbar)),
     )
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conics92.cli import cli_main
+from conics92.harness import gen_planted_instance, reduce_instance
 
 
 def test_verify_writes_the_count(tmp_path):
@@ -16,6 +17,18 @@ def test_removed_tolerance_flag_is_a_usage_error():
     assert cli_main(["solve", "--tol-residual", "1e-9"]) == 2
     assert cli_main(["bruteforce", "--p", "5", "--lines", "x.json", "--agreement"]) == 2
     assert cli_main(["solve", "--chart", "1,2"]) == 2
+
+
+def test_bruteforce_reads_an_instance_over_q_or_reduced_mod_p(tmp_path):
+    planted = gen_planted_instance(42, ensure_prime=5)
+    planted.save(tmp_path / "q.json")
+    reduce_instance(planted, 5).save(tmp_path / "f5.json")
+    outputs = []
+    for name in ("q.json", "f5.json"):
+        out = tmp_path / f"bf-{name}"
+        assert cli_main(["bruteforce", "--p", "5", "--lines", str(tmp_path / name), "--out", str(out)]) == 0
+        outputs.append(json.loads(out.read_text()))
+    assert outputs[0] == outputs[1] and outputs[0]["count"] == 25
 
 
 def test_gw_expressions(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from conics92.errors import DegeneratePoint, LineInPlane, NotInChart
+from conics92.errors import LineInPlane, NotInChart
 from conics92.geometry import (
     Chart,
     ChartPoint,
@@ -21,7 +21,7 @@ from conics92.geometry import (
     proj_equal,
 )
 
-from helpers import meet_plane, trivialization_point, trivialization_value
+from helpers import DegeneratePoint, meet_plane, trivialization_point, trivialization_value
 
 
 def rnd_line(rng, bound=9):

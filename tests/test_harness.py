@@ -91,6 +91,17 @@ def test_instance_file_round_trip(tmp_path, planted_instance):
     assert Instance.load(path).to_json() == planted_instance.to_json()
 
 
+def test_reduced_instance_file_round_trip(tmp_path):
+    # prime-field coordinates are saved as their integer values and loaded
+    # into the field of the file's tag
+    red = reduce_instance(gen_planted_instance(42, ensure_prime=5), 5)
+    path = tmp_path / "f5.json"
+    red.save(path)
+    back = Instance.load(path)
+    assert (back.field, back.lines, back.meta) == (red.field, red.lines, red.meta)
+    assert brute_force_fq(back, 5) == brute_force_fq(red, 5)
+
+
 def test_reduce_instance_good_prime(planted_instance):
     red = reduce_instance(planted_instance, PLANTED_PRIME)
     assert red.field == f"F{PLANTED_PRIME}"

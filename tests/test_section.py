@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conics92.errors import ConePoint, DegenerateConfiguration, SingularZero
+from conics92.errors import SingularZero
 from conics92.fields import PrimeField, is_square
 from conics92.geometry import (
     Chart,
@@ -29,6 +29,8 @@ from conics92.section import (
 )
 
 from helpers import (
+    ConePoint,
+    DegenerateConfiguration,
     Poly,
     conic_through_5,
     expanded_section_polys,

@@ -1,5 +1,11 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,8 +132,6 @@ def _candidate(abar, cbar, i, j, reality):
         reality=reality,
         sign=1 if reality == "real" else None,
         residual=0.0,
-        abar=tuple(abar),
-        cbar=tuple(cbar),
     )
 
 
@@ -144,7 +148,7 @@ def test_same_zero_in_two_canonical_charts_merges():
     u = _candidate(abar, cbar0, 0, 0, "real")
     v = _candidate(abar * (1 + 1e-13), cbar1, 1, int(np.argmax(np.abs(cbar1))), "real")
     assert v.chart[0] == 1
-    assert solver._proj_dist(u.cbar, v.cbar) > 1e-3  # only the transition matches them
+    assert np.max(np.abs(np.subtract(u.cbar, v.cbar))) > 1e-3  # only the transition matches them
     assert projective_pair_dist(u, v) < 1e-9
     assert _distinct_zeros([u, v]) == [u]
     assert _distinct_zeros([v, u]) == [v]
@@ -189,11 +193,46 @@ def test_classify_pairs_conjugates_in_two_canonical_charts():
     u = _candidate(abar, cbar0, 0, 0, "pair")
     cbar1 = np.array(conic_coeffs_transition(tuple(np.conj(abar)), tuple(np.conj(cbar0)), 0, 1))
     v = _candidate(np.conj(abar), cbar1, 1, int(np.argmax(np.abs(cbar1))), "pair")
-    assert solver._proj_dist(_conj(u).cbar, v.cbar) > 1e-3  # only the transition matches them
+    assert np.max(np.abs(np.subtract(_conj(u).cbar, v.cbar))) > 1e-3  # only the transition matches them
     assert projective_pair_dist(_conj(u), v) < 1e-9
     reals, pairs, leftovers = _classify([u, v])
     assert (reals, leftovers) == ([], [])
     assert pairs == [u]  # leading imaginary part positive
+
+
+def test_replaced_coordinates_move_the_plane_and_the_conic(solutions):
+    # a zero is stored only as (chart, a, b): the benchmark's output check
+    # moves one with dataclasses.replace, and its conic moves with it
+    sol = solutions(42).solutions[0]
+    moved = dataclasses.replace(sol, b=(sol.b[0] * (1 + 1e-6),) + tuple(sol.b[1:]))
+    i, j = sol.chart
+    assert moved.abar == sol.abar and moved.abar[i] == 1
+    assert moved.cbar != sol.cbar and moved.cbar[j] == 1
+    assert moved.cbar[:j] + moved.cbar[j + 1 :] == moved.b
+    assert type(moved.cbar[j]) is type(moved.b[0])
+    assert projective_pair_dist(sol, moved) == pytest.approx(abs(sol.b[0]) * 1e-6)
+
+
+def _real_zero(chart, a, b):
+    return ConicSolution(chart, a, b, det_jac=1.0 + 0j, reality="real", sign=1, residual=0.0)
+
+
+@pytest.mark.parametrize(
+    "chart, a, b, back",
+    [
+        # the plane coefficient 0 vanishes: no point in plane chart 0
+        ((1, 0), (0.0, 0.2, 0.1), (0.3, 0.2, 0.1, 0.1, 0.1), 2.0),
+        # the conic coefficient 0 vanishes: no point in conic chart 0
+        ((0, 1), (0.5, 0.2, 0.1), (0.0, 0.2, 0.1, 0.1, 0.1), 10 / 3),
+    ],
+)
+def test_distance_to_a_zero_outside_the_best_chart_is_inf(chart, a, b, back):
+    u = _real_zero((0, 0), (0.5, 0.2, 0.1), (0.3, 0.2, 0.1, 0.1, 0.1))
+    v = _real_zero(chart, a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert projective_pair_dist(u, v) == np.inf
+        assert projective_pair_dist(v, u) == pytest.approx(back)
 
 
 def _distinct_zeros_pairwise(pool):
@@ -431,3 +470,19 @@ def test_base_fixture_is_complete():
         for c in cands
     ]
     assert max(cond) <= data["cond"]
+
+
+def test_path_stats_compares_a_saved_run(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    src = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    saved = tmp_path / "seed42.json"
+    for flag in ("--save", "--compare"):
+        run = subprocess.run(
+            [sys.executable, str(root / "scripts" / "path_stats.py"), "42", "42", flag, str(saved)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[1].endswith("  ok")
