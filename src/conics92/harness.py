@@ -44,11 +44,11 @@ from .geometry import (
 from .gw import EQUAL, GwForm, gw_equal, invariants
 from .linalg import adjugate3, det
 from .section import (
+    MONOMIAL_SLOTS,
     SectionSystem,
     chart_tensor,
     eval_section,
     jacobian,
-    monomials,
 )
 from .solver import (
     SIGMA_FLOOR,
@@ -98,6 +98,8 @@ class Instance:
 
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
+        if len(data["lines"]) != 8:
+            raise ValueError(f"an instance has 8 lines, not {len(data['lines'])}")
         kinds = set()
         for ln in data["lines"]:
             for key in ("p", "s"):
@@ -108,6 +110,8 @@ class Instance:
 
         field = data.get("field", "Q")
         one = field_one(field)
+        if "float" in kinds and field.startswith("F"):
+            raise ValueError(f"float coordinates in an instance over {field}")
 
         def coord(v):
             if isinstance(v, float):
@@ -381,9 +385,14 @@ def _projective_reps(q: int, width: int) -> np.ndarray:
 
 
 def brute_force_fq(instance: Instance, p: int, degree: int = 1) -> list:
-    """Exhaustive solve over F_{p^degree} by enumerating all (plane, conic)
-    candidates and testing incidence at the 8 points where the lines meet
-    the plane.
+    """Exhaustive solve over F_q, q = p^degree, by enumerating all (plane,
+    conic) candidates and testing incidence at the 8 points where the lines
+    meet the plane.
+
+    One kernel over F_p, `_zeros_fq`, serves both degrees: it writes an
+    element of F_q as its F_p coordinates and multiplication by it as an
+    F_p matrix, so only the field and its gamma (t^2 = -gamma) depend on
+    the degree.
 
     Returns every F_q-rational zero of the reduced system, simple or
     singular, as BruteForceSolution records with exact chart Jacobians in
@@ -401,23 +410,14 @@ def brute_force_fq(instance: Instance, p: int, degree: int = 1) -> list:
     elif instance.field != f"F{p}":
         raise ValueError(f"instance is over {instance.field}, not F{p} or Q")
 
-    lines = instance.lines
-    if degree == 1:
-        sols_raw = _brute_force_fp(instance, p)
-        fld = PrimeField(p)
-        mk = lambda v: fld(int(v))
-    else:
-        sols_raw = _brute_force_fp2(instance, p)
-        ext = QuadExtField(p)
-        mk = lambda v: ext(int(v[0]), int(v[1]))
-        lift = lambda pt: tuple(ext(v.value) for v in pt)
-        lines = [Line3(lift(ln.p), lift(ln.s)) for ln in lines]
+    fq = PrimeField(p) if degree == 1 else QuadExtField(p)
+    gamma = 0 if degree == 1 else fq.gamma
+    lines = [Line3(tuple(map(fq, ln.p)), tuple(map(fq, ln.s))) for ln in instance.lines]
     # each chart's system is built once, for every zero in that chart
     system = cache(lambda i, j: SectionSystem(Chart(i, j), lines))
     out = []
-    for plane_raw, conic_raw, istar in sols_raw:
-        plane_v = tuple(mk(v) for v in plane_raw)
-        conic_v = tuple(mk(v) for v in conic_raw)
+    for plane_xs, conic_xs, istar in _zeros_fq(instance, p, degree, gamma):
+        plane_v, conic_v = (tuple(fq(*x) for x in xs) for xs in (plane_xs, conic_xs))
         chart_points = {}
         chart_dets = {}
         for i in range(4):
@@ -448,59 +448,52 @@ def _line_rows(instance: Instance) -> np.ndarray:
 
 
 def _meet_points(lines, i: int, planes, p: int) -> np.ndarray:
-    """The chart-i points (P, 8, 3) mod p where the lines, integer rows
-    (2, 8, 4), meet the planes (P, 4).  A line lies in its plane exactly
-    when all three coordinates of its point are 0."""
+    """The F_p coordinates (P, 8, 3, d) of the chart-i points where the
+    lines, integer rows (2, 8, 4), meet the planes with F_p coordinates
+    (P, 4, d).  A line lies in its plane exactly when its point is 0."""
     cols = (i,) + PLANE_COORD_INDICES[i]
-    return np.einsum("nrc,Pc->Pnr", chart_tensor(i, *lines), planes[:, cols]) % p
+    return np.einsum("nrc,Pcs->Pnrs", chart_tensor(i, *lines), planes[:, cols]) % p
 
 
-def _brute_force_fp(instance: Instance, p: int) -> list:
-    planes = _projective_reps(p, 4)
-    conics = _projective_reps(p, 6).astype(np.float64)
+def _regular(x, gamma: int) -> np.ndarray:
+    """The F_p matrices (..., d, d) of multiplication by the elements of
+    F_{p^d}, d = 1 or 2, with F_p coordinates x (..., d): x0 + x1 t, with
+    t^2 = -gamma, multiplies by [[x0, -gamma x1], [x1, x0]], and x0 by [[x0]]."""
+    d = x.shape[-1]
+    units = np.array([[[1, 0], [0, 1]], [[0, -gamma], [1, 0]]])[:d, :d, :d]
+    return np.einsum("...r,rst->...st", x, units)
+
+
+def _plane_matrices(z, p: int, gamma: int) -> np.ndarray:
+    """The F_p matrices (P, 8d, 6d), as floats, of the planes whose meet
+    points have F_p coordinates z (P, 8, 3, d): block (n, k) multiplies by
+    the k-th monomial of point n, so a matrix maps a conic's F_p
+    coordinates (6d,) to its values at the 8 points."""
+    n, d = len(z), z.shape[-1]
+    zmat = _regular(z, gamma)
+    left, right = MONOMIAL_SLOTS
+    mats = zmat[:, :, left] @ zmat[:, :, right] % p
+    return mats.transpose(0, 1, 3, 2, 4).reshape(n, 8 * d, 6 * d).astype(np.float64)
+
+
+def _zeros_fq(instance: Instance, p: int, d: int, gamma: int) -> list:
+    """The F_p coordinates (4, d) and (6, d) of the plane and the conic of
+    every zero over F_q, q = p^d, with its istar: for each plane that no
+    line lies in, one F_p product tests every conic of P^5(F_q) at the 8
+    meet points."""
+    digits = p ** np.arange(d)  # code c is the element with F_p coordinates c // p^k % p
+    planes = _projective_reps(p**d, 4)[..., None] // digits % p
+    conics = (_projective_reps(p**d, 6)[..., None] // digits % p).reshape(-1, 6 * d).astype(np.float64)
     lines = _line_rows(instance)
-    lead = np.argmax(planes != 0, axis=1)
+    lead = np.argmax(planes.any(axis=2), axis=1)
     results = []
     for istar in range(4):
         block = planes[lead == istar]
         z = _meet_points(lines, istar, block, p)
-        mons = (monomials(z) % p).astype(np.float64)
-        meets = z.any(axis=2).all(axis=1)  # no line lies in the plane
-        for plane, mon in zip(block[meets], mons[meets]):
-            vals = conics @ mon.T % p
-            hits = np.flatnonzero(np.all(vals == 0, axis=1))
-            for h in hits:
-                results.append((tuple(int(v) for v in plane), tuple(int(v) for v in conics[h].astype(int)), istar))
-    return results
-
-
-def _brute_force_fp2(instance: Instance, p: int) -> list:
-    gamma = QuadExtField(p).gamma  # t^2 = -gamma
-    planes = _projective_reps(p * p, 4)
-    conics1, conics0 = (c.astype(np.float64) for c in np.divmod(_projective_reps(p * p, 6), p))
-    lines = _line_rows(instance)
-    lead = np.argmax(planes != 0, axis=1)
-    results = []
-    for istar in range(4):
-        a1, a0 = np.divmod(planes[lead == istar], p)
-        # the plane a0 + a1 t meets line n at z0 + z1 t, with t^2 = -gamma;
-        # its monomials m0 + m1 t are one F_{p^2} product
-        z0, z1 = _meet_points(lines, istar, a0, p), _meet_points(lines, istar, a1, p)
-        m00, m11 = monomials(z0), monomials(z1)
-        mons0 = ((m00 - gamma * m11) % p).astype(np.float64)
-        mons1 = ((monomials(z0 + z1) - m00 - m11) % p).astype(np.float64)
-        meets = ((z0 != 0) | (z1 != 0)).any(axis=2).all(axis=1)  # no line lies in the plane
-        for b0, b1, mon0, mon1 in zip(a0[meets], a1[meets], mons0[meets], mons1[meets]):
-            # (c0 + c1 t)(m0 + m1 t) with t^2 = -gamma
-            v0 = (conics0 @ mon0.T - gamma * (conics1 @ mon1.T)) % p
-            v1 = (conics0 @ mon1.T + conics1 @ mon0.T) % p
-            hits = np.flatnonzero(np.all((v0 == 0) & (v1 == 0), axis=1))
-            for h in hits:
-                conic = tuple(
-                    (int(conics0[h][k]), int(conics1[h][k])) for k in range(6)
-                )
-                plane_pair = tuple((int(u), int(v)) for u, v in zip(b0, b1))
-                results.append((plane_pair, conic, istar))
+        meets = z.reshape(len(z), 8, -1).any(axis=2).all(axis=1)  # no line lies in the plane
+        for plane, mat in zip(block[meets], _plane_matrices(z, p, gamma)[meets]):
+            hits = np.flatnonzero(np.all(conics @ mat.T % p == 0, axis=1))
+            results.extend((plane.tolist(), conics[h].reshape(6, d).astype(int).tolist(), istar) for h in hits)
     return results
 
 

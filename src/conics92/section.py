@@ -11,7 +11,7 @@ and `_jacobian`.  They are plain numpy array code, so the same functions
 serve every scalar: float and complex arrays in the tracker
 (`solver.NumericChartSystem`, `solver.ParameterHomotopy`), object arrays of
 Fraction, PrimeFieldElement or QuadExtElement in the exact `SectionSystem`,
-and integer arrays mod p in the brute-force monomials (`harness`).
+and, by `MONOMIAL_SLOTS`, F_p matrices of F_q elements in the brute force.
 """
 
 from __future__ import annotations
@@ -55,10 +55,13 @@ def _jacobian(ja, mon, free):
     return np.concatenate([ja, jb], axis=2)
 
 
+# the factors' slots of the conic monomials z0^2, z1^2, z2^2, z1 z2, z0 z2, z0 z1
+MONOMIAL_SLOTS = ([0, 1, 2, 1, 0, 0], [0, 1, 2, 2, 2, 1])
+
+
 def monomials(z):
-    """The conic monomials (z0^2, z1^2, z2^2, z1 z2, z0 z2, z0 z1) (..., 6)
-    of the points z (..., 3)."""
-    return z[..., [0, 1, 2, 1, 0, 0]] * z[..., [0, 1, 2, 2, 2, 1]]
+    """The conic monomials (..., 6) of the points z (..., 3)."""
+    return z[..., MONOMIAL_SLOTS[0]] * z[..., MONOMIAL_SLOTS[1]]
 
 
 def _section(z, c):

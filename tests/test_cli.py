@@ -54,3 +54,24 @@ def test_gw_rejects_a_field_that_is_not_an_odd_prime(field, capsys):
 def test_gw_rejects_a_zero_denominator_and_a_trailing_operator(expression, field, capsys):
     assert cli_main(["gw", expression, "--field", field]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _seven_lines():
+    data = gen_planted_instance(42, ensure_prime=5).to_json()
+    return dict(data, lines=data["lines"][:7])
+
+
+def _floats_over_f5():
+    data = reduce_instance(gen_planted_instance(42, ensure_prime=5), 5).to_json()
+    lines = [{key: [float(v) for v in ln[key]] for key in "ps"} for ln in data["lines"]]
+    return dict(data, lines=lines)
+
+
+@pytest.mark.parametrize("malformed", [_seven_lines, _floats_over_f5])
+def test_bruteforce_rejects_a_malformed_instance_file(malformed, tmp_path, capsys):
+    # a clear error, where 7 lines over Q raised IndexError and floats
+    # under the tag F5 AttributeError
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(malformed()))
+    assert cli_main(["bruteforce", "--p", "5", "--lines", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

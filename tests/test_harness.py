@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from conics92.errors import BadReduction, ExhaustedRetries, LineInPlane, TooLarge
-from conics92.fields import PrimeField, is_square
+from conics92.fields import PrimeField, QuadExtField, is_square
 from conics92.geometry import (
     Chart,
     ChartPoint,
     Line3,
     Plane3,
+    conic_value,
     genericity_check,
     meet_plane_oracle,
     plane_coords,
@@ -21,7 +22,9 @@ from conics92.harness import (
     Instance,
     _line_rows,
     _meet_points,
+    _plane_matrices,
     _projective_reps,
+    _regular,
     brute_force_fq,
     gen_planted_instance,
     gen_random_instance,
@@ -284,29 +287,67 @@ def test_brute_force_solutions_satisfy_incidence(planted_instance):
             assert conic_value(s.conic, plane_coords(s.istar, x)) == 0
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_meet_points_agree_with_the_incidence_oracle(p):
-    # the brute-force kernels' chart_tensor points against the elimination
-    # formula, on every plane of P^3(F_p)
-    fp = PrimeField(p)
+@pytest.mark.parametrize("p", [3, 5])
+def test_regular_matrices_multiply_like_the_quadratic_extension(p):
+    # the kernel's F_p matrix of x, applied to y, is x * y on all of
+    # F_{p^2} x F_{p^2}; codes 0..p^2-1 list the field in elements() order
+    fq = QuadExtField(p)
+    elems = list(fq.elements())
+    coords = np.arange(p * p)[:, None] // [1, p] % p
+    assert coords.tolist() == [[x.c0, x.c1] for x in elems]
+    prods = np.einsum("xst,yt->xys", _regular(coords, fq.gamma), coords) % p
+    assert prods.tolist() == [[[(x * y).c0, (x * y).c1] for y in elems] for x in elems]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_meet_points_agree_with_the_incidence_oracle(q):
+    # the brute-force kernel against the elimination formula: its meet
+    # points, and which lines its product puts on a conic, for the conics
+    # with codes < 3 that it accepts and 3 random conics per plane.  Every
+    # plane of P^3(F_p); over F_9 the 40 F_3-rational planes and 20 others.
+    p, d = (3, 2) if q == 9 else (q, 1)
+    fq = PrimeField(p) if d == 1 else QuadExtField(p)
+    gamma = 0 if d == 1 else fq.gamma
+    digits = p ** np.arange(d)
+
+    def elements(codes):
+        return tuple(fq(*x) for x in np.asarray(codes)[..., None] // digits % p)
+
     red = reduce_instance(gen_random_instance(0, 10), p)
-    planes = _projective_reps(p, 4)
+    lines = [Line3(tuple(map(fq, ln.p)), tuple(map(fq, ln.s))) for ln in red.lines]
+    rng = np.random.default_rng(q)
+    planes = _projective_reps(q, 4)
+    rational = (planes < p).all(axis=1)
+    planes = np.concatenate([planes[rational], rng.permutation(planes[~rational])[:20]])
+    codes = _projective_reps(q, 6)
+    codes = np.concatenate([codes[(codes < 3).all(axis=1)], rng.permutation(codes)[:3 * len(planes)]])
+    conics = (codes[..., None] // digits % p).reshape(len(codes), 6 * d).astype(np.float64)
     lead = np.argmax(planes != 0, axis=1)
-    in_plane = 0
+    in_plane = accepted = 0
     for i in range(4):
         block = planes[lead == i]
-        z = _meet_points(_line_rows(red), i, block, p)
-        for plane, zp in zip(block, z):
-            pl = Plane3(tuple(fp(int(v)) for v in plane))
-            for line, zn in zip(red.lines, zp):
+        z = _meet_points(_line_rows(red), i, block[..., None] // digits % p, p)
+        for plane, zp, mat in zip(block, z, _plane_matrices(z, p, gamma)):
+            pl = Plane3(elements(plane))
+            points = {}
+            for n, (line, zn) in enumerate(zip(lines, zp)):
                 try:
-                    x = plane_coords(i, meet_plane_oracle(line, pl))
+                    points[n] = plane_coords(i, meet_plane_oracle(line, pl))
                 except LineInPlane:
                     assert not zn.any(), f"line in plane {plane}, point {zn}"
                     in_plane += 1
                     continue
-                assert zn.any() and proj_equal(tuple(fp(int(v)) for v in zn), x)
+                assert zn.any() and proj_equal(elements(zn @ digits), points[n])
+            on_line = (conics @ mat.T % p == 0).reshape(len(codes), 8, d).all(axis=2)
+            hits = np.flatnonzero(on_line.all(axis=1)) if len(points) == 8 else []
+            accepted += len(hits)
+            for h in [*hits, *rng.integers(len(codes), size=3)]:
+                conic = elements(codes[h])
+                for n, x in points.items():
+                    assert on_line[h, n] == (conic_value(conic, x) == 0), (plane, codes[h], n)
     assert in_plane > 0
+    # the 3 zeros of this instance over F_3 are sampled over F_3 and F_9
+    assert accepted >= 3 or p > 3
 
 
 def test_verify_report(instances, solutions):
