@@ -101,10 +101,9 @@ def main(out: Path) -> None:
     if best is None:
         raise SystemExit("no draw reached 92 zeros")
     cond, k, rows, zeros = best
-    coords = sorted(
-        (solver._to_chart(z.a + z.b, z.chart, (0, 0))[1] for z in zeros),
-        key=solver._round_key,
-    )
+    charts = np.array([z.chart for z in zeros])
+    x = solver._to_chart([z.a + z.b for z in zeros], charts, np.zeros_like(charts))[1]
+    coords = sorted(x, key=solver._round_key)
 
     def pairs(x):
         return json.dumps([[v.real, v.imag] for v in x])

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import LineInPlane, NotInChart
 from .linalg import det
 
@@ -180,57 +182,53 @@ def conic_value(coeffs, z):
     )
 
 
-def conic_sym_matrix(coeffs):
-    """3x3 symmetric matrix of the quadratic (needs 2 invertible)."""
-    b0, b1, b2, b3, b4, b5 = coeffs
-    return [
-        [b0, b5 / 2, b4 / 2],
-        [b5 / 2, b1, b3 / 2],
-        [b4 / 2, b3 / 2, b2],
-    ]
+def conic_matrix(coeffs):
+    """The symmetric matrices M (..., 3, 3) of the conics q with
+    coefficients (..., 6), scaled so that z^T M z = 2 q(z): row by row, the
+    coefficient in each entry and its scale.  No division, so any scalar
+    serves."""
+    c = np.asarray(coeffs)
+    m = c[..., [0, 5, 4, 5, 1, 3, 4, 3, 2]] * [2, 1, 1, 1, 2, 1, 1, 1, 2]
+    return m.reshape(c.shape[:-1] + (3, 3))
 
 
-def conic_coeffs_from_sym(q3):
-    return (
-        q3[0][0],
-        q3[1][1],
-        q3[2][2],
-        2 * q3[1][2],
-        2 * q3[0][2],
-        2 * q3[0][1],
-    )
+def conic_substitution(coeffs, s):
+    """The coefficients (..., 6) of the conics z -> q(s z), for conics q with
+    coefficients (..., 6) and matrices s (..., 3, 3): the form S^T M S, read
+    back from `conic_matrix`'s scaling."""
+    # einsum rounds each complex product as scalar arithmetic does, where
+    # numpy's vectorized complex multiply fuses multiply-adds: the tracker's
+    # chart switches, and so its paths, keep the bits of one point at a time
+    ms = np.einsum("...rc,...cv->...rv", conic_matrix(coeffs), s)
+    sms = np.einsum("...ru,...rv->...uv", s, ms)
+    return sms.reshape(sms.shape[:-2] + (9,))[..., [0, 4, 8, 5, 2, 1]] / [2, 2, 2, 1, 1, 1]
 
 
-def conic_coeffs_transition(a, coeffs, i_from: int, i_to: int):
-    """Rewrite conic coefficients from chart-i_from to chart-i_to plane coordinates.
+def conic_coeffs_transition(a, coeffs, i_from, i_to):
+    """Rewrite conic coefficients (..., 6) on the planes a (..., 4) from
+    chart-i_from to chart-i_to plane coordinates; i_from and i_to are
+    plane charts, one for all points or one per point.
 
     On the plane, the dropped coordinate is an affine-linear function of the
     kept ones; substituting it into the quadratic gives the rewritten form.
+    Object arrays of Fraction or finite-field elements stay exact and raise
+    NotInChart where a[i_to] vanishes; other arrays, integers included,
+    divide as floats and give inf or nan there.
     """
-    a = coerce_scalars(a)
-    coeffs = coerce_scalars(coeffs)
-    if a[i_to] == 0:
-        raise NotInChart(f"plane coefficient {i_to} vanishes")
-    if i_from == i_to:
-        return tuple(coeffs)
-    idx_from = PLANE_COORD_INDICES[i_from]
-    idx_to = PLANE_COORD_INDICES[i_to]
-    zero = a[0] * 0
-    rows = []
-    for amb in idx_from:
-        if amb == i_to:
-            rows.append(tuple(-a[u] / a[i_to] for u in idx_to))
-        else:
-            u = idx_to.index(amb)
-            rows.append(tuple(1 + zero if k == u else zero for k in range(3)))
-    q = conic_sym_matrix(coeffs)
-    # S^T Q S
-    qs = [[sum(q[r][c] * rows[c][v] for c in range(3)) for v in range(3)] for r in range(3)]
-    out = [
-        [sum(rows[r][u] * qs[r][v] for r in range(3)) for v in range(3)]
-        for u in range(3)
-    ]
-    return conic_coeffs_from_sym(out)
+    shape = np.broadcast_shapes(np.shape(a)[:-1], np.shape(coeffs)[:-1], np.shape(i_from), np.shape(i_to))
+    a = np.broadcast_to(a, shape + (4,))
+    i_from, i_to = np.broadcast_to(i_from, shape), np.broadcast_to(i_to, shape)
+    pivot = np.take_along_axis(a, i_to[..., None], -1)
+    if a.dtype == object and (pivot == 0).any():
+        raise NotInChart("plane coefficient i_to vanishes")
+    keep = np.array(PLANE_COORD_INDICES)
+    idx_from, idx_to = keep[i_from], keep[i_to]
+    # z_from = s z_to: each kept coordinate is a chart-i_to coordinate, or
+    # the dropped one solved from the plane's equation
+    solved = -np.take_along_axis(a, idx_to, -1) / pivot
+    unit = (idx_from[..., :, None] == idx_to[..., None, :]).astype(int)
+    s = np.where((idx_from == i_to[..., None])[..., None], solved[..., None, :], unit)
+    return conic_substitution(coeffs, s)
 
 
 # ---------------------------------------------------------------------------

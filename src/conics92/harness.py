@@ -32,9 +32,9 @@ from .geometry import (
     Line3,
     Plane3,
     chart_coords,
-    conic_coeffs_from_sym,
     conic_coeffs_transition,
-    conic_sym_matrix,
+    conic_matrix,
+    conic_substitution,
     genericity_check,
     insert_one,
     meet_plane_oracle,  # unused; bench/tracing.py patches it until ROADMAP item 8
@@ -98,12 +98,18 @@ class Instance:
 
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
+        if not isinstance(data, dict) or not isinstance(data.get("lines"), list):
+            raise ValueError('an instance is a JSON object with a list of "lines"')
         if len(data["lines"]) != 8:
             raise ValueError(f"an instance has 8 lines, not {len(data['lines'])}")
         kinds = set()
         for ln in data["lines"]:
             for key in ("p", "s"):
+                if not isinstance(ln, dict) or not isinstance(ln.get(key), list):
+                    raise ValueError(f'each line has a list of coordinates "{key}"')
                 for v in ln[key]:
+                    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+                        raise ValueError(f"a coordinate is a number or a fraction string, not {v!r}")
                     kinds.add("float" if isinstance(v, float) else "exact")
         if kinds == {"float", "exact"}:
             raise ValueError("mixed float and exact coordinates are not allowed")
@@ -221,15 +227,9 @@ def _try_plant(rng: random.Random) -> Instance:
         raise DegenerateDraw("parameterization not invertible")
 
     # image of the standard parameterization t -> (t^2, t, 1) under cmat;
-    # the conic satisfied by the image is adj(C)^T * Qstd * adj(C)
-    qstd = [[0, 0, -1], [0, 2, 0], [-1, 0, 0]]
-    adj = adjugate3(cmat)
-    qs = [[sum(qstd[r][c] * adj[c][v] for c in range(3)) for v in range(3)] for r in range(3)]
-    qmat = [
-        [sum(adj[r][u] * qs[r][v] for r in range(3)) for v in range(3)]
-        for u in range(3)
-    ]
-    coeffs = _primitive(conic_coeffs_from_sym([[Fraction(x) for x in row] for row in qmat]))
+    # the image satisfies the standard conic z1^2 - z0 z2 at adj(C) w
+    std = np.array([Fraction(v) for v in (0, 1, 0, 0, -1, 0)], dtype=object)
+    coeffs = _primitive(conic_substitution(std, np.array(adjugate3(cmat), dtype=object)))
     if all(v == 0 for v in coeffs):
         raise DegenerateDraw("degenerate conic")
     jstar = next(k for k in range(6) if coeffs[k] != 0)
@@ -343,7 +343,7 @@ def reduce_instance(instance: Instance, p: int) -> Instance:
         pt = ChartPoint(chart, a_red, b_red)
         system = SectionSystem(chart, lines)
         coeffs = insert_one(b_red, chart.j, fp.one())
-        if det(conic_sym_matrix(coeffs)) == 0:
+        if det(conic_matrix(coeffs)) == 0:
             raise BadReduction(f"planted conic singular mod {p}")
         if any(v != 0 for v in eval_section(system, pt)):
             raise BadReduction(f"planted zero lost mod {p}")
@@ -420,10 +420,8 @@ def brute_force_fq(instance: Instance, p: int, degree: int = 1) -> list:
         plane_v, conic_v = (tuple(fq(*x) for x in xs) for xs in (plane_xs, conic_xs))
         chart_points = {}
         chart_dets = {}
-        for i in range(4):
-            if plane_v[i] == 0:
-                continue
-            coeffs_i = conic_coeffs_transition(plane_v, conic_v, istar, i)
+        planes = [i for i in range(4) if plane_v[i] != 0]
+        for i, coeffs_i in zip(planes, conic_coeffs_transition(plane_v, conic_v, istar, planes)):
             for j in range(6):
                 if coeffs_i[j] == 0:
                     continue

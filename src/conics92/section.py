@@ -12,6 +12,8 @@ serve every scalar: float and complex arrays in the tracker
 (`solver.NumericChartSystem`, `solver.ParameterHomotopy`), object arrays of
 Fraction, PrimeFieldElement or QuadExtElement in the exact `SectionSystem`,
 and, by `MONOMIAL_SLOTS`, F_p matrices of F_q elements in the brute force.
+`_gradient` takes each conic's symmetric matrix from `geometry.conic_matrix`,
+which the chart transition uses too.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import SingularZero
 from .fields import QuadExtElement
-from .geometry import PLANE_COORD_INDICES, Chart, ChartPoint
+from .geometry import PLANE_COORD_INDICES, Chart, ChartPoint, conic_matrix
 from .gw import GwForm, trace_form
 from .linalg import det
 
@@ -75,9 +77,7 @@ def _section(z, c):
 
 def _gradient(z, c):
     """The gradient in z (N, 8, 3) of the conics c (N, 6) at the points z."""
-    # twice the conic as a symmetric matrix (N, 3, 3): the gradient is z times it
-    q = (c * [2, 2, 2, 1, 1, 1])[:, [0, 5, 4, 5, 1, 3, 4, 3, 2]].reshape(-1, 3, 3)
-    return z @ q
+    return z @ conic_matrix(c)
 
 
 def _chart_points(zm, x, j):

@@ -32,8 +32,9 @@ to a chart's infinity.  A path ends "converged" at t=0 or
 (`_candidates`) then moves each endpoint to its best chart, refines the
 endpoints of one chart together, keeps the zeros and classifies them real
 or non-real; `_distinct_zeros` and `_classify` merge the same zero and pair
-conjugates with one same-zero test, run only on the pairs whose planes one
-batched comparison finds close.
+conjugates by one distance matrix, `_pair_dists`, which measures every pair
+in the first zero's best chart.  One batched chart map, `_to_chart`, moves
+points between charts for the tracker, the endpoint stage and the dedup.
 
 Conventions: a zero's residual is the max-norm of the section in its best
 chart, where its largest plane and conic coefficients are 1, with each
@@ -57,9 +58,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import CountMismatch, IncompleteSet, NotInChart
+from .errors import CountMismatch, IncompleteSet
 from .fields import REAL, SquareClass, complex_to_json
-from .geometry import Chart, conic_coeffs_transition, insert_one
+from .geometry import PLANE_COORD_INDICES, Chart, conic_coeffs_transition, insert_one
 from .gw import GwForm
 from .section import (
     _chart_points,
@@ -85,14 +86,15 @@ _REFINE_ITERS = 30
 # The endpoint stage's fixed tolerances.  An endpoint is a zero when Newton
 # brings its residual (see Conventions) to TOL_RESIDUAL; it is real when its
 # coordinates there are within REAL_TOL of real and its real part refines to
-# TOL_RESIDUAL too.  Two candidates closer than TOL_DEDUP as moduli points
-# (`projective_pair_dist`) are the same zero, and a non-real candidate is
-# paired with the candidate that is the same zero as its conjugate.  A zero
-# is simple when the smallest singular value of its Jacobian, on the scaled
-# lines in its best chart, passes SIGMA_FLOOR; otherwise it fails the solve.
-# Like the residual, that does not depend on how the caller scales the lines.
-# Over gen_random_instance seeds 0-99 the smallest such value is 6.6e-6
-# (seed 12), 660 times the floor.  A path fails after _MAX_STEPS steps.
+# TOL_RESIDUAL too.  Two candidates closer than TOL_DEDUP as moduli points, in
+# the first one's best chart (`_pair_dists`), are the same zero, and a
+# non-real candidate is paired with the candidate that is the same zero as its
+# conjugate.  A zero is simple when the smallest singular value of its
+# Jacobian, on the scaled lines in its best chart, passes SIGMA_FLOOR;
+# otherwise it fails the solve.  Like the residual, that does not depend on
+# how the caller scales the lines.  Over gen_random_instance seeds 0-99 the
+# smallest such value is 6.6e-6 (seed 12), 660 times the floor.  A path fails
+# after _MAX_STEPS steps.
 TOL_RESIDUAL = 1e-12
 TOL_DEDUP = 1e-6
 REAL_TOL = 1e-8
@@ -280,17 +282,26 @@ def base_instance():
     return lines, zeros
 
 
-def _to_chart(x, chart: tuple, to: tuple | None = None) -> tuple:
-    """The point x (8,) of `chart` in chart `to`: the chart and the
-    coordinates there.  By default `to` is the point's best chart, where its
-    largest plane and conic coefficients are 1."""
-    one = 1.0 + 0j
-    abar = np.array(insert_one(x[:3], chart[0], one))
-    i = int(np.argmax(np.abs(abar))) if to is None else to[0]
-    cbar = insert_one(x[3:], chart[1], one)
-    c = np.array(conic_coeffs_transition(tuple(abar), cbar, chart[0], i))
-    j = int(np.argmax(np.abs(c))) if to is None else to[1]
-    return (i, j), np.concatenate([np.delete(abar, i) / abar[i], np.delete(c, j) / c[j]])
+def _to_chart(x, charts, to=None) -> tuple:
+    """The points x (N, 8), each in its chart of charts (N, 2), in the
+    charts `to` (N, 2): the charts and the coordinates (N, 8) there.  By
+    default `to` is each point's best chart, where its largest plane and
+    conic coefficients are 1.  Every row is mapped on its own, so a row's
+    result does not depend on the batch it is in."""
+    x, charts = np.asarray(x, dtype=complex), np.asarray(charts)
+    rows = np.arange(len(x))
+
+    def drop(v, slot):
+        rest = v[np.arange(v.shape[1]) != slot[:, None]].reshape(len(v), v.shape[1] - 1)
+        return rest / v[rows, slot][:, None]
+
+    # in plane chart i the coordinates a sit at the slots it keeps
+    abar = np.ones((len(x), 4), dtype=complex)
+    abar[rows[:, None], np.array(PLANE_COORD_INDICES)[charts[:, 0]]] = x[:, :3]
+    i = np.argmax(np.abs(abar), axis=1) if to is None else to[:, 0]
+    c = conic_coeffs_transition(abar, _plane_and_conic(x, charts[:, 1])[1], charts[:, 0], i)
+    j = np.argmax(np.abs(c), axis=1) if to is None else to[:, 1]
+    return np.stack([i, j], axis=1), np.concatenate([drop(abar, i), drop(c, j)], axis=1)
 
 
 def start_solutions() -> np.ndarray:
@@ -340,9 +351,10 @@ def _track_block(hom: ParameterHomotopy, starts, charts):
             break
         # far out in its chart a point nears the chart's boundary, where the
         # tracking degrades; in its best chart it is well scaled again
-        for k in idx[np.max(np.abs(x[idx]), axis=1) > _CHART_NORM]:
-            charts[k], x[k] = _to_chart(x[k], charts[k])
-            k1[k] = np.nan
+        far = idx[np.max(np.abs(x[idx]), axis=1) > _CHART_NORM]
+        if far.size:
+            charts[far], x[far] = _to_chart(x[far], charts[far])
+            k1[far] = np.nan
         new = idx[np.isnan(k1[idx]).any(axis=1)]
         if new.size:
             k1[new] = tangent(new, x[new], *hom.at(t[new], charts[new, 0]))
@@ -397,17 +409,29 @@ def _track_block(hom: ParameterHomotopy, starts, charts):
     return status, x, charts, steps, rows
 
 
-def projective_pair_dist(u: ConicSolution, v: ConicSolution) -> float:
-    """Distance between two zeros as points of the moduli space: the
-    max-norm gap of their coordinates in u's best chart, inf where v has no
-    point in that chart."""
-    chart, xu = _to_chart(np.array(u.a + u.b), u.chart)
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _, xv = _to_chart(np.array(v.a + v.b), v.chart, chart)
-    except NotInChart:
-        return np.inf
-    return float(np.max(np.abs(xu - xv))) if np.isfinite(xv).all() else np.inf
+def _points(zeros) -> tuple:
+    """The coordinates (N, 8) and charts (N, 2) of the zeros."""
+    x = np.array([z.a + z.b for z in zeros], dtype=complex).reshape(-1, 8)
+    return x, np.array([z.chart for z in zeros], dtype=int).reshape(-1, 2)
+
+
+def _pair_dists(us, vs) -> np.ndarray:
+    """Distances (m, n) between the zeros us and vs as points of the moduli
+    space: the max-norm gap of their coordinates in each u's best chart,
+    inf where v has no point in that chart."""
+    (xu, cu), (xv, cv) = _points(us), _points(vs)
+    best, xu = _to_chart(xu, cu)
+    charts = np.array(list(dict.fromkeys(map(tuple, best.tolist()))), dtype=int).reshape(-1, 2)
+    k, n = len(charts), len(xv)
+    dist = np.full((len(xu), n), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # every v in every best chart present, in one batch
+        _, xk = _to_chart(np.tile(xv, (k, 1)), np.tile(cv, (k, 1)), np.repeat(charts, n, axis=0))
+        for chart, xc in zip(charts, xk.reshape(k, n, 8)):
+            near = (best == chart).all(axis=1)
+            gap = np.max(np.abs(xu[near, None] - xc), axis=2)
+            dist[near] = np.where(np.isfinite(xc).all(axis=1), gap, np.inf)
+    return dist
 
 
 def _refine(system: NumericChartSystem, x):
@@ -476,46 +500,23 @@ def _candidates(endpoints, charts, lines) -> list:
     """The candidates of the endpoints that refine to zeros of `lines`, in
     endpoint order.  Each endpoint moves to its best chart, and the
     endpoints of one chart are refined together."""
-    moved = [_to_chart(x, tuple(ch)) for x, ch in zip(endpoints, charts)]
-    out = [None] * len(moved)
-    for key in dict.fromkeys(ch for ch, _ in moved):
-        rows = [k for k, (ch, _) in enumerate(moved) if ch == key]
-        system = NumericChartSystem(Chart(*key), lines)
-        cands = _chart_candidates(system, np.array([moved[k][1] for k in rows]))
+    charts, x = _to_chart(np.reshape(endpoints, (-1, 8)), np.reshape(charts, (-1, 2)))
+    out = [None] * len(x)
+    for key in dict.fromkeys(map(tuple, charts.tolist())):
+        rows = np.flatnonzero((charts == key).all(axis=1))
+        cands = _chart_candidates(NumericChartSystem(Chart(*key), lines), x[rows])
         for k, cand in zip(rows, cands):
             out[k] = cand
     return [c for c in out if c is not None]
 
 
-def _same_zero(u: ConicSolution, v: ConicSolution) -> bool:
-    """The one same-zero test, for merging endpoints and pairing conjugates."""
-    return projective_pair_dist(u, v) < TOL_DEDUP
-
-
-def _planes(cands) -> np.ndarray:
-    return np.array([c.abar for c in cands], dtype=complex).reshape(-1, 4)
-
-
-def _near_planes(u, v) -> np.ndarray:
-    """For candidate planes u (m, 4) and v (n, 4), the pairs (m, n) whose
-    plane distance, as `projective_pair_dist(u, v)` takes it, is below
-    2 TOL_DEDUP: the only pairs `_same_zero` can accept (the factor 2
-    covers rounding)."""
-    s = np.argmax(np.abs(u), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = u[:, None] / u[np.arange(len(u)), s, None, None] - v / v[:, s].T[..., None]
-        return np.max(np.abs(gap), axis=2) < 2 * TOL_DEDUP
-
-
 def _distinct_zeros(pool) -> list:
     """The first candidate of each zero, in pool order, whatever chart or
     loop it came from."""
-    planes = _planes(pool)
+    same = _pair_dists(pool, pool) < TOL_DEDUP
     keep = np.zeros(len(pool), dtype=bool)
-    for k, c in enumerate(pool):
-        kept = np.flatnonzero(keep)
-        near = kept[_near_planes(planes[kept], planes[k : k + 1])[:, 0]]
-        keep[k] = not any(_same_zero(pool[u], c) for u in near)
+    for k in range(len(pool)):
+        keep[k] = not same[keep, k].any()
     return [c for c, kp in zip(pool, keep) if kp]
 
 
@@ -524,18 +525,18 @@ def _classify(cands):
     conjugate pair, and the non-real candidates left without a conjugate."""
     reals = [c for c in cands if c.reality == "real"]
     nonreal = [c for c in cands if c.reality != "real"]
-    planes = _planes(nonreal)
-    used = [False] * len(nonreal)
+    conjs = [replace(c, a=tuple(np.conj(c.a)), b=tuple(np.conj(c.b))) for c in nonreal]
+    same = _pair_dists(conjs, nonreal) < TOL_DEDUP
+    used = np.zeros(len(nonreal), dtype=bool)
     pairs, leftovers = [], []
     for idx, cand in enumerate(nonreal):
         if used[idx]:
             continue
-        conj = replace(cand, a=tuple(np.conj(cand.a)), b=tuple(np.conj(cand.b)))
-        near = np.flatnonzero(_near_planes(_planes([conj]), planes[idx + 1 :])[0]) + idx + 1
-        partner = next((k for k in near if not used[k] and _same_zero(conj, nonreal[k])), None)
-        if partner is None:
+        later = np.flatnonzero(same[idx, idx + 1 :] & ~used[idx + 1 :]) + idx + 1
+        if not later.size:
             leftovers.append(cand)
             continue
+        partner = later[0]
         used[idx] = used[partner] = True
         # deterministic representative: leading imaginary part positive
         lead = next((v for v in np.imag(cand.a + cand.b) if abs(v) > REAL_TOL), 0.0)
@@ -578,9 +579,7 @@ def monodromy(lines, zeros: list, threads: int, rng, paths: list):
         loops += 1
         draw = rng.standard_normal((2, 2, 8, 4))
         mid = _unit_rows(draw[0] + 1j * draw[1])
-        x = np.array([z.a + z.b for z in zeros], dtype=complex).reshape(-1, 8)
-        charts = np.array([z.chart for z in zeros], dtype=int).reshape(-1, 2)
-        there = _leg(target, mid, x, charts, threads, rng, paths)
+        there = _leg(target, mid, *_points(zeros), threads, rng, paths)
         back = _leg(mid, target, *there, threads, rng, paths)
         zeros = _distinct_zeros(zeros + _candidates(*back, lines))
     return zeros, loops

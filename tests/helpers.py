@@ -30,7 +30,7 @@ from conics92.section import (
     orientation_sign,
 )
 from conics92 import solver
-from conics92.solver import ConicSolution, projective_pair_dist
+from conics92.solver import ConicSolution, _pair_dists
 
 
 # errors raised only by the oracles below
@@ -345,21 +345,18 @@ def match_solution_sets(sa, sb, tol=1e-6) -> bool:
     member of a conjugate pair may be the stored representative)."""
     if sa.count != sb.count:
         return False
-    used = set()
-    for u in sa.solutions:
-        hit = None
-        for k, v in enumerate(sb.solutions):
-            if k in used or v.reality != u.reality:
-                continue
-            d = projective_pair_dist(u, v)
-            if v.reality == "pair":
-                d = min(d, projective_pair_dist(u, conj_solution(v)))
-            if d < tol:
-                hit = k
-                break
-        if hit is None:
+    a, b = sa.solutions, sb.solutions
+    pair = np.array([v.reality == "pair" for v in b], dtype=bool)
+    d = _pair_dists(a, b)
+    conj = _pair_dists(a, [conj_solution(v) for v in b if v.reality == "pair"])
+    d[:, pair] = np.minimum(d[:, pair], conj)
+    close = (d < tol) & np.equal.outer([u.reality for u in a], [v.reality for v in b])
+    used = np.zeros(len(b), dtype=bool)
+    for row in close:
+        hit = np.flatnonzero(row & ~used)
+        if not hit.size:
             return False
-        used.add(hit)
+        used[hit[0]] = True
     return True
 
 
@@ -367,10 +364,10 @@ def same_real_zeros(sa, sb, tol=1e-9) -> bool:
     """True when the two sets have the same real zeros, each within tol of
     a real zero of the other set with the same sign."""
     ra, rb = sa.real_solutions, sb.real_solutions
-    return len(ra) == len(rb) and all(
-        any(v.sign == u.sign and projective_pair_dist(u, v) < tol for v in rb)
-        for u in ra
-    )
+    if len(ra) != len(rb):
+        return False
+    close = (_pair_dists(ra, rb) < tol) & np.equal.outer([u.sign for u in ra], [v.sign for v in rb])
+    return bool(close.any(axis=1).all())
 
 
 def relative_section_residual(lines, sol: ConicSolution) -> float:
@@ -418,8 +415,9 @@ def reference_track_block(hom, starts, charts):
         idx = np.flatnonzero(status == solver._ACTIVE)
         if idx.size == 0:
             break
-        for k in idx[np.max(np.abs(x[idx]), axis=1) > solver._CHART_NORM]:
-            charts[k], x[k] = solver._to_chart(x[k], charts[k])
+        far = idx[np.max(np.abs(x[idx]), axis=1) > solver._CHART_NORM]
+        if far.size:
+            charts[far], x[far] = solver._to_chart(x[far], charts[far])
         xs, ts, cs, hs = x[idx], t[idx], charts[idx], np.minimum(dt[idx], t[idx])
 
         k1 = h_tangent(xs, ts, cs)

@@ -67,10 +67,33 @@ def _floats_over_f5():
     return dict(data, lines=lines)
 
 
-@pytest.mark.parametrize("malformed", [_seven_lines, _floats_over_f5])
+def _line_without_s():
+    data = gen_planted_instance(42, ensure_prime=5).to_json()
+    return dict(data, lines=[{"p": ln["p"]} for ln in data["lines"]])
+
+
+def _no_lines():
+    return {"field": "Q"}
+
+
+def _null_coordinate():
+    data = gen_planted_instance(42, ensure_prime=5).to_json()
+    data["lines"][3]["s"][1] = None
+    return data
+
+
+def _top_level_list():
+    return gen_planted_instance(42, ensure_prime=5).to_json()["lines"]
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    [_seven_lines, _floats_over_f5, _line_without_s, _no_lines, _null_coordinate, _top_level_list],
+)
 def test_bruteforce_rejects_a_malformed_instance_file(malformed, tmp_path, capsys):
-    # a clear error, where 7 lines over Q raised IndexError and floats
-    # under the tag F5 AttributeError
+    # a clear error, where 7 lines over Q raised IndexError, floats under
+    # the tag F5 AttributeError, a missing key KeyError and a null
+    # coordinate or a top-level list TypeError
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(malformed()))
     assert cli_main(["bruteforce", "--p", "5", "--lines", str(path)]) == 1

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 
 from conics92.errors import LineInPlane, NotInChart
+from conics92.fields import PrimeField, QuadExtField
 from conics92.geometry import (
     Chart,
     ChartPoint,
@@ -215,6 +217,28 @@ def test_conic_transition_preserves_values():
         # round trip is the identity
         back = conic_coeffs_transition(plane.a, out, i_to, i_from)
         assert tuple(back) == tuple(Fraction(v) for v in coeffs)
+    # one call maps a batch of planes and conics, each between its own
+    # charts, as one call per row does, in value and in scalar type
+    f7, f9 = PrimeField(7), QuadExtField(3)
+    for scalar in (
+        lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        lambda: f7(rng.randint(0, 6)),
+        lambda: f9(rng.randint(0, 2), rng.randint(0, 2)),
+    ):
+        rows = []
+        while len(rows) < 12:
+            a, c = [scalar() for _ in range(4)], [scalar() for _ in range(6)]
+            i_from, i_to = rng.randrange(4), rng.randrange(4)
+            if a[i_to] != 0:
+                rows.append((a, c, i_from, i_to))
+        a, c, i_from, i_to = (np.array(col, dtype=object) for col in zip(*rows))
+        batch = conic_coeffs_transition(a, c, i_from.astype(int), i_to.astype(int))
+        for out, (a, c, i_from, i_to) in zip(batch, rows):
+            single = conic_coeffs_transition(tuple(a), tuple(c), i_from, i_to)
+            assert list(out) == list(single)
+            assert [type(v) for v in out] == [type(v) for v in single] == [type(a[0])] * 6
+    with pytest.raises(NotInChart):
+        conic_coeffs_transition((f7(1), f7(0), f7(2), f7(3)), [f7(1)] * 6, 0, 1)
 
 
 def test_genericity_examples():

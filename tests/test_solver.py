@@ -20,9 +20,9 @@ from conics92.solver import (
     SolverOptions,
     _classify,
     _distinct_zeros,
+    _pair_dists,
     assemble_enriched_count,
     solve_all,
-    projective_pair_dist,
 )
 
 from helpers import match_solution_sets, reference_track_block, relative_section_residual
@@ -149,7 +149,7 @@ def test_same_zero_in_two_canonical_charts_merges():
     v = _candidate(abar * (1 + 1e-13), cbar1, 1, int(np.argmax(np.abs(cbar1))), "real")
     assert v.chart[0] == 1
     assert np.max(np.abs(np.subtract(u.cbar, v.cbar))) > 1e-3  # only the transition matches them
-    assert projective_pair_dist(u, v) < 1e-9
+    assert _pair_dists([u], [v])[0, 0] < 1e-9
     assert _distinct_zeros([u, v]) == [u]
     assert _distinct_zeros([v, u]) == [v]
 
@@ -194,7 +194,7 @@ def test_classify_pairs_conjugates_in_two_canonical_charts():
     cbar1 = np.array(conic_coeffs_transition(tuple(np.conj(abar)), tuple(np.conj(cbar0)), 0, 1))
     v = _candidate(np.conj(abar), cbar1, 1, int(np.argmax(np.abs(cbar1))), "pair")
     assert np.max(np.abs(np.subtract(_conj(u).cbar, v.cbar))) > 1e-3  # only the transition matches them
-    assert projective_pair_dist(_conj(u), v) < 1e-9
+    assert _pair_dists([_conj(u)], [v])[0, 0] < 1e-9
     reals, pairs, leftovers = _classify([u, v])
     assert (reals, leftovers) == ([], [])
     assert pairs == [u]  # leading imaginary part positive
@@ -210,7 +210,7 @@ def test_replaced_coordinates_move_the_plane_and_the_conic(solutions):
     assert moved.cbar != sol.cbar and moved.cbar[j] == 1
     assert moved.cbar[:j] + moved.cbar[j + 1 :] == moved.b
     assert type(moved.cbar[j]) is type(moved.b[0])
-    assert projective_pair_dist(sol, moved) == pytest.approx(abs(sol.b[0]) * 1e-6)
+    assert _pair_dists([sol], [moved])[0, 0] == pytest.approx(abs(sol.b[0]) * 1e-6)
 
 
 def _real_zero(chart, a, b):
@@ -231,15 +231,16 @@ def test_distance_to_a_zero_outside_the_best_chart_is_inf(chart, a, b, back):
     v = _real_zero(chart, a, b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert projective_pair_dist(u, v) == np.inf
-        assert projective_pair_dist(v, u) == pytest.approx(back)
+        assert _pair_dists([u], [v])[0, 0] == np.inf
+        assert _pair_dists([v], [u])[0, 0] == pytest.approx(back)
 
 
 def _distinct_zeros_pairwise(pool):
-    """The reference dedup: each candidate against every kept one."""
+    """The reference dedup: each candidate against every kept one, in one
+    distance row."""
     out = []
     for c in pool:
-        if not any(solver._same_zero(u, c) for u in out):
+        if not (_pair_dists(out, [c]) < solver.TOL_DEDUP).any():
             out.append(c)
     return out
 
@@ -254,13 +255,9 @@ def _classify_pairwise(cands):
     for idx, cand in enumerate(nonreal):
         if used[idx]:
             continue
-        conj = _conj(cand)
+        same = _pair_dists([_conj(cand)], nonreal)[0] < solver.TOL_DEDUP
         partner = next(
-            (
-                k
-                for k in range(idx + 1, len(nonreal))
-                if not used[k] and solver._same_zero(conj, nonreal[k])
-            ),
+            (k for k in range(idx + 1, len(nonreal)) if not used[k] and same[k]),
             None,
         )
         if partner is None:
@@ -279,7 +276,7 @@ def _in_chart(abar, cbar, i, reality):
     return _candidate(abar, cbar_i, i, int(np.argmax(np.abs(cbar_i))), reality)
 
 
-def test_prefiltered_dedup_matches_the_pairwise_reference():
+def test_matrix_dedup_matches_the_pairwise_reference():
     rng = np.random.default_rng(11)
     pool = []
     for k in range(20):
@@ -301,7 +298,7 @@ def test_prefiltered_dedup_matches_the_pairwise_reference():
         zero.append(_in_chart(abar + 1e-7 * da[0], cbar, i2, reality))
         zero.append(_candidate(abar + 8e-7 * da[0], zero[0].cbar, *zero[0].chart, reality))
         # near misses: plane or conic 5e-5 away, and a plane 1.5e-6 away,
-        # which passes the plane prefilter and fails the same-zero test
+        # just past TOL_DEDUP
         zero.append(_in_chart(abar + 5e-5 * da[1], cbar, i, reality))
         zero.append(_in_chart(abar, cbar + 5e-5 * dc, i2, reality))
         zero.append(_in_chart(abar + 1.5e-6 * da[2], cbar, i, reality))
@@ -369,10 +366,29 @@ def test_best_chart_moves_a_far_point():
     # close to that chart's boundary, is the same zero with coordinates at
     # most 1 in its best chart
     far = np.array([1e4, 0.3, -2.0, 5e3 + 1j, 0.2, -0.4j, 7.0, 1.5])
-    chart, x = solver._to_chart(far, (0, 0))
-    assert chart != (0, 0)
+    charts, x = solver._to_chart([far], [(0, 0)])
+    assert tuple(charts[0]) != (0, 0)
     assert np.max(np.abs(x)) <= 1.0
-    assert np.allclose(solver._to_chart(x, chart, (0, 0))[1], far)
+    assert np.allclose(solver._to_chart(x, charts, np.array([(0, 0)]))[1], [far])
+
+
+def test_batched_chart_map_equals_row_by_row():
+    # the tracker maps every far point of a block in one call, so a row's
+    # chart and coordinates must not depend on the batch it is in, or the
+    # thread partition could change a chart switch
+    rng = np.random.default_rng(5)
+    scale = 10 ** rng.uniform(-1, 2, (500, 1))
+    x = scale * rng.standard_normal((500, 8)) + 1j * rng.standard_normal((500, 8))
+    charts = np.stack([rng.integers(0, 4, 500), rng.integers(0, 6, 500)], axis=1)
+    for to in (None, np.roll(charts, 1, axis=0)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            best, y = solver._to_chart(x, charts, to)
+            rows = [
+                solver._to_chart(x[k : k + 1], charts[k : k + 1], None if to is None else to[k : k + 1])
+                for k in range(500)
+            ]
+        assert (best == np.concatenate([r[0] for r in rows])).all()
+        assert y.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
 
 
 def test_homotopy_derivatives_match_finite_differences():
@@ -456,8 +472,8 @@ def test_base_fixture_is_complete():
     assert len(cands) == 92
     assert all(c.residual <= solver.TOL_RESIDUAL for c in cands)
     assert all(c.sigma_min > solver.SIGMA_FLOOR for c in cands)
-    for z, c in zip(zeros, cands):
-        assert np.allclose(solver._to_chart(z, (0, 0), c.chart)[1], c.a + c.b, rtol=0, atol=1e-12)
+    moved = solver._to_chart(zeros, np.zeros((92, 2), dtype=int), np.array([c.chart for c in cands]))[1]
+    assert np.allclose(moved, [c.a + c.b for c in cands], rtol=0, atol=1e-12)
     assert _distinct_zeros(cands) == cands
     # H_x at every base zero in its best chart is no worse conditioned than
     # the recorded draw's largest condition number
