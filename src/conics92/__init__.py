@@ -10,7 +10,6 @@ from .fields import (
     QuadExtElement,
     QuadExtField,
     SquareClass,
-    field_trace,
     is_square,
     square_class,
 )
@@ -30,9 +29,7 @@ from .gw import (
     EQUAL,
     NOT_EQUAL,
     UNDECIDED,
-    GramMatrix,
     GwForm,
-    diagonalize_gram,
     gw_add,
     gw_equal,
     gw_mul,
@@ -50,7 +47,6 @@ from .harness import (
 )
 from .section import (
     JacobianRecord,
-    LocalIndex,
     SectionSystem,
     eval_section,
     jacobian,

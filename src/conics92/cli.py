@@ -9,7 +9,15 @@ import sys
 from fractions import Fraction
 
 from .errors import Conics92Error
-from .fields import PrimeFieldElement, QuadExtElement, field_one, square_class
+from .fields import (
+    COMPLEX,
+    RATIONAL,
+    REAL,
+    PrimeFieldElement,
+    QuadExtElement,
+    field_one,
+    square_class,
+)
 from .gw import GwForm, gw_add, invariants
 from .harness import (
     Instance,
@@ -46,9 +54,14 @@ def parse_gw_expression(text: str, field: str) -> GwForm:
 
 
 def _load_instance(args) -> Instance:
-    if args.lines:
-        return Instance.load(args.lines)
-    return gen_random_instance(args.seed, args.bound)
+    """The instance to solve: the homotopy tracks over C, so its lines
+    must be over Q, R or C."""
+    if not args.lines:
+        return gen_random_instance(args.seed, args.bound)
+    instance = Instance.load(args.lines)
+    if instance.field not in (RATIONAL, REAL, COMPLEX):
+        raise ValueError(f"solve and verify need an instance over Q, R or C, not {instance.field}")
+    return instance
 
 
 def _emit(data: dict, out: str | None) -> None:

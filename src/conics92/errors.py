@@ -15,18 +15,10 @@ class UnsupportedField(Conics92Error):
     """The requested operation is not defined over this scalar domain."""
 
 
-class UnsupportedExtension(Conics92Error):
-    """Trace forms are only available for C/R, F_{p^2}/F_p and k/k."""
-
-
 # -- quadratic form arithmetic -------------------------------------------------
 
 class FieldMismatch(Conics92Error):
     """Operands live over different scalar domains."""
-
-
-class Degenerate(Conics92Error):
-    """A Gram matrix with zero determinant was passed to diagonalization."""
 
 
 # -- projective geometry -------------------------------------------------------

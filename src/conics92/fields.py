@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedExtension, UnsupportedField, ZeroElement
+from .errors import UnsupportedField, ZeroElement
 
 RATIONAL = "Q"
 REAL = "R"
@@ -66,20 +66,22 @@ def _pollard_brent(n: int) -> int:
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
-        x, ys = 2, 2
-        y, d, q, m = x, 1, 1, 128
+        # x is saved at step r, and y runs on to step 2r in blocks of m
+        # whose products share one gcd; r doubles each round
+        y, r, d, q, m = 2, 1, 1, 1, 128
         while d == 1:
             x = y
-            for _ in range(m):
+            for _ in range(r):
                 y = (y * y + c) % n
             k = 0
-            while k < m and d == 1:
+            while k < r and d == 1:
                 ys = y
-                for _ in range(min(m, m - k)):
+                for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 k += m
                 d = math.gcd(q, n)
+            r *= 2
         if d == n:
             # backtrack one step at a time
             d = 1
@@ -414,9 +416,6 @@ class QuadExtField:
     def one(self) -> QuadExtElement:
         return QuadExtElement(self, 1, 0)
 
-    def gen(self) -> QuadExtElement:
-        return QuadExtElement(self, 0, 1)
-
     def elements(self):
         return (
             QuadExtElement(self, c0, c1)
@@ -426,11 +425,7 @@ class QuadExtField:
 
     @property
     def canonical_nonresidue(self) -> QuadExtElement:
-        half = (self.p * self.p - 1) // 2
-        for x in self.elements():
-            if (x.c0, x.c1) != (0, 0) and x ** half != 1:
-                return x
-        raise ArithmeticError("no nonresidue found")  # unreachable
+        return next(x for x in self.elements() if x != 0 and not is_square(x))
 
     def __repr__(self):
         return f"QuadExtField(p={self.p}, t^2+{self.gamma})"
@@ -515,7 +510,8 @@ def is_square(x) -> bool:
     if isinstance(x, PrimeFieldElement):
         return pow(x.value, (x.p - 1) // 2, x.p) == 1
     if isinstance(x, QuadExtElement):
-        return x ** ((x.field.p ** 2 - 1) // 2) == 1
+        # x is a square in F_{p^2} iff its norm is a square in F_p
+        return is_square(x.norm())
     raise UnsupportedField(f"unsupported scalar {type(x).__name__}")
 
 
@@ -540,14 +536,6 @@ def square_class(x) -> SquareClass:
         nr = x.field.canonical_nonresidue
         return SquareClass(quad_ext_tag(x.field.p), (nr.c0, nr.c1))
     raise UnsupportedField(f"unsupported scalar {type(x).__name__}")
-
-
-def field_trace(x: QuadExtElement) -> PrimeFieldElement:
-    """Frobenius trace x + x^p down to the base prime field."""
-    if not isinstance(x, QuadExtElement):
-        raise UnsupportedExtension("field_trace expects a quadratic-extension element")
-    # x + x^p = 2*c0 since the conjugate root is -t
-    return PrimeFieldElement(x.field.p, 2 * x.c0)
 
 
 # ---------------------------------------------------------------------------

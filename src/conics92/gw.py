@@ -5,13 +5,23 @@ Equality is decided through field invariants: rank and signature over R,
 rank and discriminant over finite fields, rank alone over C.  Over Q the
 implemented invariants (rank, signature, discriminant) can refute equality
 but not certify it, so agreement is reported as "undecided".
+
+A zero of degree d with Jacobian determinant a weighs the trace form
+Tr<a>, which over R and F_p is fixed by its rank d with its signature or
+discriminant, so `trace_form` writes it down with no Gram matrix:
+- a complex a != 0 (a conjugate pair over R): the Gram matrix of
+  (u, v) -> Tr(a u v) on (1, i) has determinant -4|a|^2 < 0, so the form
+  has signature 0 and is H;
+- a in F_{p^2}^* = (F_p[t]/(t^2 + gamma))^*: the Gram determinant on (1, t)
+  is -4 gamma N(a), so the form is <1> + <-gamma N(a)>;
+- anything else (a point over the base field): <a>.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Degenerate, FieldMismatch
+from .errors import FieldMismatch
 from .fields import (
     COMPLEX,
     RATIONAL,
@@ -19,7 +29,6 @@ from .fields import (
     QuadExtElement,
     SquareClass,
     field_one,
-    field_trace,
     square_class,
 )
 
@@ -67,10 +76,6 @@ class GwForm:
         """The rank-1 form <x> for a nonzero field element x."""
         c = square_class(x)
         return cls(c.field, ((c, 1),))
-
-    @classmethod
-    def from_class(cls, c: SquareClass, mult: int = 1) -> "GwForm":
-        return cls._normalize(c.field, [(c, mult)])
 
     @classmethod
     def hyperbolic(cls, field: str) -> "GwForm":
@@ -179,105 +184,14 @@ def gw_equal(f: GwForm, g: GwForm) -> str:
     return UNDECIDED
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric matrix of field elements."""
-
-    field: str
-    rows: tuple[tuple[object, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.rows)
-        for r in self.rows:
-            if len(r) != n:
-                raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-
-
-def diagonalize_gram(g: GramMatrix) -> GwForm:
-    """Congruence-diagonalize and return the sum of pivot classes.
-
-    Pivots take the leftmost nonzero diagonal entry; if the whole diagonal
-    of the trailing block vanishes, the first nonzero off-diagonal partner
-    row/column is added in to create one (valid since char != 2).
-    """
-    n = len(g.rows)
-    m = [list(row) for row in g.rows]
-
-    def swap(a, b):
-        m[a], m[b] = m[b], m[a]
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-
-    def add_into(dst, src):
-        for c in range(n):
-            m[dst][c] = m[dst][c] + m[src][c]
-        for r in range(n):
-            m[r][dst] = m[r][dst] + m[r][src]
-
-    diag = []
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][i] != 0), None)
-        if piv is None:
-            pair = next(
-                (
-                    (r, c)
-                    for r in range(k, n)
-                    for c in range(r + 1, n)
-                    if m[r][c] != 0
-                ),
-                None,
-            )
-            if pair is None:
-                raise Degenerate("Gram matrix is degenerate")
-            r, c = pair
-            if r != k:
-                swap(k, r)
-            add_into(k, c)
-        elif piv != k:
-            swap(k, piv)
-        d = m[k][k]
-        if d == 0:
-            raise Degenerate("zero pivot")
-        for r in range(k + 1, n):
-            if m[r][k] != 0:
-                factor = m[r][k] / d
-                for c in range(n):
-                    m[r][c] = m[r][c] - factor * m[k][c]
-                for c in range(n):
-                    m[c][r] = m[r][c]
-        diag.append(d)
-
-    cls = [square_class(d) for d in diag]
-    return GwForm._normalize(cls[0].field if cls else g.field, [(c, 1) for c in cls])
-
-
 def trace_form(a) -> GwForm:
-    """Transfer <a> along a degree-<=2 extension via the field trace: C/R
-    for a complex a, F_{p^2}/F_p for a quadratic-extension element, and the
-    trivial extension k/k for anything else."""
+    """Tr<a> of a nonzero a along a degree-<=2 extension: H over R for a
+    complex a, <1> + <-gamma N(a)> over F_p for a in F_p[t]/(t^2 + gamma),
+    and <a> for anything else."""
     if isinstance(a, complex):
         if a == 0:
             raise ZeroDivisionError("trace form of 0")
-        gram = GramMatrix(
-            REAL,
-            (
-                (2.0 * a.real, -2.0 * a.imag),
-                (-2.0 * a.imag, -2.0 * a.real),
-            ),
-        )
-        return diagonalize_gram(gram)
-
+        return GwForm.hyperbolic(REAL)
     if isinstance(a, QuadExtElement):
-        ext = a.field
-        basis = (ext.one(), ext.gen())
-        gram = GramMatrix(
-            ext.base.tag,
-            tuple(tuple(field_trace(a * u * v) for v in basis) for u in basis),
-        )
-        return diagonalize_gram(gram)
-
+        return GwForm.unit(a.field.base.one()) + GwForm.unit(-a.field.gamma * a.norm())
     return GwForm.unit(a)

@@ -149,12 +149,6 @@ class JacobianRecord:
     determinant: object
 
 
-@dataclass(frozen=True)
-class LocalIndex:
-    point: ChartPoint
-    form: GwForm
-
-
 def eval_section(system: SectionSystem, point: ChartPoint) -> tuple:
     z, c, _ = system._points(point)
     return tuple(_section(z, c)[0][0])
@@ -174,10 +168,10 @@ def jacobian(system: SectionSystem, point: ChartPoint) -> JacobianRecord:
     return JacobianRecord(matrix=matrix, determinant=d)
 
 
-def local_index(system: SectionSystem, point: ChartPoint, reality: str = "rational") -> LocalIndex:
-    """Square class of the Jacobian determinant, transferred along the
-    field of definition: rank 1 for points over the base field, the
-    rank-2 trace form for conjugate pairs or quadratic-extension points."""
+def local_index(system: SectionSystem, point: ChartPoint, reality: str = "rational") -> GwForm:
+    """The weight of a zero: `trace_form` of its Jacobian determinant,
+    rank 1 for points over the base field and rank 2 for conjugate pairs
+    or quadratic-extension points."""
     rec = jacobian(system, point)
     d = rec.determinant
     if d == 0:
@@ -185,9 +179,7 @@ def local_index(system: SectionSystem, point: ChartPoint, reality: str = "ration
     if reality == "pair":
         if not isinstance(d, (complex, QuadExtElement)):
             raise ValueError("conjugate-pair index needs a non-real determinant type")
-        return LocalIndex(point, trace_form(d))
-    if isinstance(d, QuadExtElement):
-        return LocalIndex(point, trace_form(d))
-    if isinstance(d, complex):
-        d = d.real if d.imag == 0 else d
-    return LocalIndex(point, GwForm.unit(d))
+    elif isinstance(d, complex):
+        # a zero over C, not one of a pair: <d> over R when d is real
+        return GwForm.unit(d.real if d.imag == 0 else d)
+    return trace_form(d)

@@ -59,9 +59,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import CountMismatch, IncompleteSet
-from .fields import REAL, SquareClass, complex_to_json
+from .fields import REAL, complex_to_json
 from .geometry import PLANE_COORD_INDICES, Chart, conic_coeffs_transition, insert_one
-from .gw import GwForm
+from .gw import GwForm, trace_form
 from .section import (
     _chart_points,
     _gradient,
@@ -659,14 +659,12 @@ def _track_parallel(hom: ParameterHomotopy, starts, charts, threads: int):
 
 
 def assemble_enriched_count(sset: SolutionSet) -> GwForm:
-    """Sum of local contributions: <sign> per real conic, the hyperbolic
-    form per conjugate pair; a complete set of 92 zeros is required."""
+    """Sum of local contributions: <sign> per real conic, the trace form of
+    the Jacobian determinant per conjugate pair; a complete set of 92 zeros
+    is required."""
     if sset.count != EXPECTED_COUNT:
         raise IncompleteSet(f"need 92 zeros counted with conjugates, got {sset.count}")
     form = GwForm.zero(REAL)
     for s in sset.solutions:
-        if s.reality == "real":
-            form = form + GwForm.from_class(SquareClass(REAL, s.sign))
-        else:
-            form = form + GwForm.hyperbolic(REAL)
+        form = form + (GwForm.unit(float(s.sign)) if s.reality == "real" else trace_form(s.det_jac))
     return form

@@ -41,6 +41,16 @@ def test_gw_expressions(tmp_path):
     assert (data["rank"], data["signature"]) == (2, 0)
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_solve_and_verify_reject_an_instance_over_fp(command, tmp_path, capsys):
+    # the tracker works over C: an F_5 instance raised TypeError in the solver
+    path = tmp_path / "f5.json"
+    reduce_instance(gen_planted_instance(42, ensure_prime=5), 5).save(path)
+    assert cli_main([command, "--lines", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "F5" in err
+
+
 @pytest.mark.parametrize("field", ["F1", "F2", "F9"])
 def test_gw_rejects_a_field_that_is_not_an_odd_prime(field, capsys):
     assert cli_main(["gw", "<1>+H", "--field", field]) == 1

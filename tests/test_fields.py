@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conics92.errors import ZeroElement
 from conics92.fields import (
@@ -13,7 +15,6 @@ from conics92.fields import (
     complex_to_json,
     ensure_finite,
     factorize,
-    field_trace,
     is_prime,
     is_square,
     square_class,
@@ -87,38 +88,6 @@ def test_prime_field_square_counts():
         assert squares == (p - 1) // 2
 
 
-def test_field_trace_examples():
-    f9 = QuadExtField(3)  # t^2 + 1 over F_3
-    assert f9.gamma == 1
-    one, t = f9.one(), f9.gen()
-    assert field_trace(one) == PrimeFieldElement(3, 2)
-    assert field_trace(t) == PrimeFieldElement(3, 0)
-    assert field_trace(t * t) == PrimeFieldElement(3, 1)  # t^2 = -1, Tr(-1) = 1
-
-
-def test_field_trace_matches_frobenius():
-    for p in (3, 5, 7):
-        ext = QuadExtField(p)
-        for x in ext.elements():
-            if x == 0:
-                continue
-            frob = x ** p
-            s = x + frob
-            assert s.c1 == 0
-            assert field_trace(x) == PrimeFieldElement(p, s.c0)
-
-
-def test_field_trace_linearity():
-    ext = QuadExtField(5)
-    rng = random.Random(2)
-    for _ in range(100):
-        x = ext(rng.randrange(5), rng.randrange(5))
-        y = ext(rng.randrange(5), rng.randrange(5))
-        c = rng.randrange(5)
-        assert field_trace(x + y) == field_trace(x) + field_trace(y)
-        assert field_trace(c * x) == c * field_trace(x)
-
-
 def test_quad_ext_arithmetic():
     ext = QuadExtField(7)
     rng = random.Random(3)
@@ -136,6 +105,22 @@ def test_quad_ext_square_count():
     assert squares == (9 - 1) // 2
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_quad_ext_is_square_by_the_norm_matches_euler(p):
+    # the reference: Euler's criterion in F_{p^2} itself
+    ext = QuadExtField(p)
+    for x in ext.elements():
+        if x != 0:
+            assert is_square(x) == (x ** ((p * p - 1) // 2) == 1)
+
+
+def test_quad_ext_canonical_nonresidue():
+    reps = {p: QuadExtField(p).canonical_nonresidue for p in (3, 5, 7, 11, 13)}
+    assert {p: (x.c0, x.c1) for p, x in reps.items()} == {
+        3: (1, 1), 5: (0, 1), 7: (1, 1), 11: (1, 1), 13: (0, 1)
+    }
+
+
 def test_squarefree_part_factoring():
     assert squarefree_part(450) == 2  # 2 * 3^2 * 5^2
     assert squarefree_part(-12) == -3
@@ -145,6 +130,28 @@ def test_squarefree_part_factoring():
     assert squarefree_part(p * p * q) == q
     assert squarefree_part(4 * p * q) == p * q
     assert factorize(p * q) == {p: 1, q: 1}
+
+
+def test_factorize_products_of_two_large_primes():
+    # Pollard rho needs cycles longer than 256 steps to split these
+    assert factorize(1_000_000_007 * 1_000_000_009) == {1_000_000_007: 1, 1_000_000_009: 1}
+    assert factorize((2**31 - 1) * (2**61 - 1)) == {2**31 - 1: 1, 2**61 - 1: 1}
+
+
+# primes up to 10^12: the largest one is 10^12 - 11
+_primes = st.integers(1, 10**12 - 12).map(sympy.nextprime)
+
+
+@settings(max_examples=20)
+@given(_primes, _primes, st.integers(1, 10**6))
+@example(10**12 - 11, 10**12 - 39, 10**6 - 17)  # the largest primes in range
+def test_factorize_a_b_c_squared(a, b, c):
+    assume(a != b)
+    n = a * b * c * c
+    factors = factorize(n)
+    assert math.prod(q**e for q, e in factors.items()) == n
+    assert all(is_prime(q) for q in factors)
+    assert squarefree_part(n) == a * b
 
 
 def test_is_prime():

@@ -3,21 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from conics92.errors import Degenerate, FieldMismatch
-from conics92.fields import PrimeField, QuadExtField, SquareClass, square_class
+from conics92.errors import FieldMismatch
+from conics92.fields import PrimeField, QuadExtField, square_class
 from conics92.gw import (
     EQUAL,
     NOT_EQUAL,
     UNDECIDED,
-    GramMatrix,
     GwForm,
-    diagonalize_gram,
     gw_add,
     gw_equal,
     gw_mul,
     invariants,
     trace_form,
 )
+from conics92.linalg import det
 
 
 def H(field="R"):
@@ -193,74 +192,6 @@ def test_rank_additive_disc_multiplicative():
         )
 
 
-def test_diagonalize_examples():
-    g = GramMatrix("Q", ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
-    d = diagonalize_gram(g)
-    assert d == gw_add(GwForm.unit(Fraction(2)), GwForm.unit(Fraction(-2)))
-    diag = GramMatrix(
-        "Q",
-        (
-            (Fraction(3), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(-5), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(7)),
-        ),
-    )
-    expect = sum(
-        (GwForm.unit(Fraction(v)) for v in (-5, 7)), GwForm.unit(Fraction(3))
-    )
-    assert diagonalize_gram(diag) == expect
-    real = GramMatrix("R", ((2.0, 0.0), (0.0, -2.0)))
-    assert gw_equal(diagonalize_gram(real), H()) == EQUAL
-
-
-def test_diagonalize_degenerate():
-    with pytest.raises(Degenerate):
-        diagonalize_gram(GramMatrix("Q", ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))))
-    with pytest.raises(Degenerate):
-        diagonalize_gram(GramMatrix("Q", ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)))))
-
-
-def _random_congruence(rng, n, field):
-    while True:
-        p = [[field(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        from conics92.linalg import det
-
-        if det(p) != 0:
-            return p
-
-
-def test_diagonalize_congruence_invariant():
-    # decidable over R and F_p; over Q assert only that equality is never refuted
-    rng = random.Random(5)
-    cases = ((float, "R", EQUAL), (PrimeField(7), "F7", EQUAL), (Fraction, "Q", None))
-    for field, tag, want in cases:
-        for _ in range(25):
-            n = rng.randint(2, 4)
-            m = [[field(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(i):
-                    m[i][j] = m[j][i]
-            from conics92.linalg import det
-
-            if det(m) == 0:
-                continue
-            g = GramMatrix(tag, tuple(tuple(r) for r in m))
-            p = _random_congruence(rng, n, field)
-            pgp = [
-                [
-                    sum(p[k][i] * m[k][l] * p[l][j] for k in range(n) for l in range(n))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            g2 = GramMatrix(tag, tuple(tuple(r) for r in pgp))
-            verdict = gw_equal(diagonalize_gram(g), diagonalize_gram(g2))
-            if want is None:
-                assert verdict != NOT_EQUAL
-            else:
-                assert verdict == want
-
-
 def test_trace_form_complex_examples():
     f = trace_form(complex(1, 0))
     assert gw_equal(f, H()) == EQUAL
@@ -291,6 +222,37 @@ def test_trace_form_f25_random():
         f = trace_form(x)
         assert invariants(f)["rank"] == 2
         assert f.field == "F5"
+
+
+def test_trace_form_complex_gram_determinant_is_negative():
+    # the Gram matrix of (u, v) -> Tr_{C/R}(a u v) = 2 Re(a u v) on (1, i)
+    rng = random.Random(8)
+    samples = [complex(1, 0), complex(0, 1), complex(-2, 0)]
+    samples += [complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(200)]
+    for a in samples:
+        gram = [[2 * (a * u * v).real for v in (1, 1j)] for u in (1, 1j)]
+        assert det(gram) < 0
+        assert trace_form(a) == H()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_trace_form_matches_the_gram_determinant_over_fp2(p):
+    # the Gram matrix of (u, v) -> Tr(a u v) on (1, t), Tr(x) = x + x^p
+    ext = QuadExtField(p)
+    basis = (ext.one(), ext(0, 1))
+
+    def tr(x):
+        s = x + x**p
+        assert s.c1 == 0
+        return PrimeField(p)(s.c0)
+
+    for a in ext.elements():
+        if a == 0:
+            continue
+        gram = [[tr(a * u * v) for v in basis] for u in basis]
+        inv = invariants(trace_form(a))
+        assert trace_form(a).field == f"F{p}" and inv["rank"] == 2
+        assert inv["discriminant"] == square_class(det(gram))
 
 
 def test_form_serialization():

@@ -147,7 +147,7 @@ def test_local_index_cases(planted_instance):
     system = SectionSystem(pt.chart, planted_instance.lines)
     idx = local_index(system, pt)
     d = jacobian(system, pt).determinant
-    assert idx.form == GwForm.unit(d)
+    assert idx == GwForm.unit(d)
     # real sign semantics
     lines_f = [
         Line3(tuple(float(v) for v in l.p), tuple(float(v) for v in l.s))
@@ -156,7 +156,7 @@ def test_local_index_cases(planted_instance):
     sysf = SectionSystem(pt.chart, lines_f)
     ptf = ChartPoint(pt.chart, tuple(map(float, pt.a)), tuple(map(float, pt.b)))
     idxf = local_index(sysf, ptf)
-    assert idxf.form.terms[0][0].rep == (1 if float(d) > 0 else -1)
+    assert idxf.terms[0][0].rep == (1 if float(d) > 0 else -1)
     # conjugate pair gives the hyperbolic form
     zc = ChartPoint(
         pt.chart,
@@ -165,7 +165,7 @@ def test_local_index_cases(planted_instance):
     )
     sysc = SectionSystem(pt.chart, lines_f)
     pair = local_index(sysc, zc, reality="pair")
-    assert gw_equal(pair.form, GwForm.hyperbolic("R")) == EQUAL
+    assert gw_equal(pair, GwForm.hyperbolic("R")) == EQUAL
 
 
 def test_local_index_finite_field():
@@ -185,8 +185,8 @@ def test_local_index_finite_field():
         d = jacobian(system, pt).determinant
         if d != 0:
             idx = local_index(system, pt)
-            assert idx.form == GwForm.unit(d)
-            assert idx.form.terms[0][0].rep in (1, 3)  # canonical F_7 reps
+            assert idx == GwForm.unit(d)
+            assert idx.terms[0][0].rep in (1, 3)  # canonical F_7 reps
             break
     else:
         pytest.fail("no nonsingular F_7 point found")
