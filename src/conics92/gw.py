@@ -188,9 +188,7 @@ def trace_form(a) -> GwForm:
     """Tr<a> of a nonzero a along a degree-<=2 extension: H over R for a
     complex a, <1> + <-gamma N(a)> over F_p for a in F_p[t]/(t^2 + gamma),
     and <a> for anything else."""
-    if isinstance(a, complex):
-        if a == 0:
-            raise ZeroDivisionError("trace form of 0")
+    if isinstance(a, complex) and a != 0:
         return GwForm.hyperbolic(REAL)
     if isinstance(a, QuadExtElement):
         return GwForm.unit(a.field.base.one()) + GwForm.unit(-a.field.gamma * a.norm())

@@ -37,7 +37,7 @@ from .geometry import (
     conic_substitution,
     genericity_check,
     insert_one,
-    meet_plane_oracle,  # unused; bench/tracing.py patches it until ROADMAP item 8
+    meet_plane_oracle,  # unused; bench/tracing.py patches it until ROADMAP item 1
     plucker,
     proj_equal,
 )
@@ -114,7 +114,9 @@ class Instance:
         if kinds == {"float", "exact"}:
             raise ValueError("mixed float and exact coordinates are not allowed")
 
-        field = data.get("field", "Q")
+        field, meta = data.get("field", "Q"), data.get("meta", {})
+        if not isinstance(field, str) or not isinstance(meta, dict):
+            raise ValueError('an instance\'s "field" is a string and its "meta" an object')
         one = field_one(field)
         if "float" in kinds and field.startswith("F"):
             raise ValueError(f"float coordinates in an instance over {field}")
@@ -129,7 +131,7 @@ class Instance:
             Line3(tuple(coord(v) for v in ln["p"]), tuple(coord(v) for v in ln["s"]))
             for ln in data["lines"]
         )
-        return cls(lines=lines, field=field, meta=data.get("meta", {}))
+        return cls(lines=lines, field=field, meta=meta)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -515,6 +517,7 @@ class VerificationReport:
         return self.verdict == EQUAL and all(c["pass"] for c in self.checks)
 
     def to_json(self) -> dict:
+        inv = invariants(self.gw)
         return {
             "count": self.count,
             "real": self.real,
@@ -522,8 +525,8 @@ class VerificationReport:
             "negative": self.negative,
             "gw": self.gw.to_json(),
             "verdict": self.verdict,
-            "signature": invariants(self.gw)["signature"],
-            "rank": invariants(self.gw)["rank"],
+            "signature": inv["signature"],
+            "rank": inv["rank"],
             "checks": self.checks,
             "stats": self.stats,
         }

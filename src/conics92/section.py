@@ -5,15 +5,16 @@ fixed affine representative of the intersection of line n with the moving
 plane.  That representative is affine-linear in the plane coordinates, so
 each component is a polynomial of total degree 3 in (a1,a2,a3,b1,...,b5).
 
-This module holds the one section kernel: `chart_tensor`, `_plane_and_conic`,
-`_chart_points`, `_section` (with `monomials`), `_gradient`, `_plane_columns`
-and `_jacobian`.  They are plain numpy array code, so the same functions
-serve every scalar: float and complex arrays in the tracker
-(`solver.NumericChartSystem`, `solver.ParameterHomotopy`), object arrays of
+This module holds the one section kernel: `chart_tensor` builds a chart's
+lines as an (8, 3, 4) tensor, and `evaluate` is the one place its steps are
+chained: the points where the lines meet the plane (`_chart_points`), the
+values sum_k c_k mon_k (`monomials`), the gradient z M(c) with M from
+`geometry.conic_matrix`, which the chart transition uses too, and by the
+chain rule the Jacobian and the t-derivative.  It is plain numpy array code,
+so it serves every scalar: float and complex arrays in the tracker
+(`solver.NumericChartSystem` and `solver._track_block`), object arrays of
 Fraction, PrimeFieldElement or QuadExtElement in the exact `SectionSystem`,
 and, by `MONOMIAL_SLOTS`, F_p matrices of F_q elements in the brute force.
-`_gradient` takes each conic's symmetric matrix from `geometry.conic_matrix`,
-which the chart transition uses too.
 """
 
 from __future__ import annotations
@@ -50,13 +51,6 @@ def _plane_and_conic(x, j):
     return np.concatenate([np.ones((n, 1), dtype=x.dtype), x[:, :3]], axis=1), c, free
 
 
-def _jacobian(ja, mon, free):
-    """The chart Jacobian (N, 8, 8): the plane columns ja, then the conic
-    monomials of the free slots."""
-    jb = mon[np.broadcast_to(free[:, None, :], mon.shape)].reshape(mon.shape[0], 8, 5)
-    return np.concatenate([ja, jb], axis=2)
-
-
 # the factors' slots of the conic monomials z0^2, z1^2, z2^2, z1 z2, z0 z2, z0 z1
 MONOMIAL_SLOTS = ([0, 1, 2, 1, 0, 0], [0, 1, 2, 2, 2, 1])
 
@@ -66,32 +60,33 @@ def monomials(z):
     return z[..., MONOMIAL_SLOTS[0]] * z[..., MONOMIAL_SLOTS[1]]
 
 
-def _section(z, c):
-    """The monomial kernel of every section evaluation: for the points z
-    (N, 8, 3) where the lines meet the plane and conic coefficients c
-    (N, 6), the values sum_k c_k mon_k(z) (N, 8) and the monomials
-    (N, 8, 6)."""
-    mon = monomials(z)
-    return np.einsum("Nnk,Nk->Nn", mon, c), mon
+def _chart_points(z, abar):
+    """The points (N, 8, 3) where the lines of the chart tensor z, one
+    (8, 3, 4) for every plane or one per plane (N, 8, 3, 4), meet the planes
+    (1, a) abar (N, 4)."""
+    return np.einsum("...nrc,...c->...nr", z, abar)
 
 
-def _gradient(z, c):
-    """The gradient in z (N, 8, 3) of the conics c (N, 6) at the points z."""
-    return z @ conic_matrix(c)
-
-
-def _chart_points(zm, x, j):
-    """The points z (N, 8, 3) where the lines of the chart tensor zm
-    (8, 3, 4) meet the planes of the chart points x (N, 8) of conic chart
-    j, with the conic coefficients and free slots of `_plane_and_conic`."""
+def evaluate(z, x, j, jac=False, dz=None):
+    """The section H (N, 8) at the chart points x (N, 8) of conic chart j
+    (one for all points or one per point) on the chart tensor z, shared
+    (8, 3, 4) or per point (N, 8, 3, 4); with jac also its Jacobian H_x
+    (N, 8 eq, 8 var), the plane columns by the chain rule through
+    dz/da = z[..., 1:4] and then the monomials of the free conic slots;
+    given the tensor's t-derivative dz, also H_t (N, 8)."""
     abar, c, free = _plane_and_conic(x, j)
-    return np.einsum("nrc,Nc->Nnr", zm, abar), c, free
-
-
-def _plane_columns(zm, z, c):
-    """The plane columns (N, 8, 3) of the Jacobian, by the chain rule: the
-    gradient at z times dz/da, the last three columns of zm (8, 3, 4)."""
-    return np.einsum("Nnr,nrl->Nnl", _gradient(z, c), zm[:, :, 1:4])
+    pts = _chart_points(z, abar)
+    mon = monomials(pts)
+    h = np.einsum("Nnk,Nk->Nn", mon, c)
+    grad = pts @ conic_matrix(c) if jac or dz is not None else None
+    hx = ht = None
+    if jac:
+        ja = np.einsum("...nr,...nrl->...nl", grad, z[..., 1:4])
+        jb = mon[np.broadcast_to(free[:, None, :], mon.shape)].reshape(len(mon), 8, 5)
+        hx = np.concatenate([ja, jb], axis=2)
+    if dz is not None:
+        ht = np.einsum("Nnr,Nnr->Nn", grad, _chart_points(dz, abar))
+    return h, hx, ht
 
 
 def monomial_vector(z) -> tuple:
@@ -128,17 +123,18 @@ class SectionSystem:
         rows = np.array([[ln.p for ln in self.lines], [ln.s for ln in self.lines]], dtype=object)
         self.zmaps = chart_tensor(chart.i, *rows)
 
-    def _points(self, point: ChartPoint):
-        """The kernel's points z (1, 8, 3), conic coefficients and free
-        slots at one chart point."""
-        return _chart_points(self.zmaps, np.array([point.a + point.b], dtype=object), self.chart.j)
+    def _args(self, point: ChartPoint) -> tuple:
+        """The kernel's arguments at one chart point: the chart tensor, the
+        point as a one-row object array and the conic chart."""
+        return self.zmaps, np.array([point.a + point.b], dtype=object), self.chart.j
 
     def point_reps(self, point: ChartPoint) -> np.ndarray:
         """Affine representatives z^n (8, 3) of the 8 intersection points."""
-        return self._points(point)[0][0]
+        z, x, j = self._args(point)
+        return _chart_points(z, _plane_and_conic(x, j)[0])[0]
 
     def coefficients(self, point: ChartPoint) -> tuple:
-        return tuple(self._points(point)[1][0])
+        return tuple(_plane_and_conic(*self._args(point)[1:])[1][0])
 
 
 @dataclass(frozen=True)
@@ -150,8 +146,7 @@ class JacobianRecord:
 
 
 def eval_section(system: SectionSystem, point: ChartPoint) -> tuple:
-    z, c, _ = system._points(point)
-    return tuple(_section(z, c)[0][0])
+    return tuple(evaluate(*system._args(point))[0][0])
 
 
 def jacobian(system: SectionSystem, point: ChartPoint) -> JacobianRecord:
@@ -161,9 +156,7 @@ def jacobian(system: SectionSystem, point: ChartPoint) -> JacobianRecord:
     The determinant carries the chart's orientation sign, so values taken
     in different charts at a common zero differ by nonzero squares.
     """
-    z, c, free = system._points(point)
-    jmat = _jacobian(_plane_columns(system.zmaps, z, c), monomials(z), free)
-    matrix = tuple(map(tuple, jmat[0].T))
+    matrix = tuple(map(tuple, evaluate(*system._args(point), jac=True)[1][0].T))
     d = orientation_sign(system.chart) * det(matrix)
     return JacobianRecord(matrix=matrix, determinant=d)
 

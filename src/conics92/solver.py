@@ -13,10 +13,10 @@ draw whose worst zero is best conditioned.  While fewer zeros than expected
 are found, monodromy loops at the target (target -> random complex lines ->
 target, a fresh gamma per leg) recover the lost paths.
 
-Every evaluation of the section and its Jacobian here, H and H_x along a
-path as well as the endpoint systems, runs the one section kernel of
-`section` (`chart_tensor`, `_section`, `_gradient`, `_jacobian`), the same
-code that evaluates the exact systems over Q and finite fields.
+Every evaluation of the section and its derivatives here, H, H_x and H_t
+along a path as well as the endpoint systems, is one call of
+`section.evaluate`, the one place the section kernel is composed, and the
+same code that evaluates the exact systems over Q and finite fields.
 
 Tracking is a 4th-order predictor with a Newton corrector and an adaptive
 step, batched across paths with numpy.  A step forms each point's z(t) and
@@ -62,16 +62,7 @@ from .errors import CountMismatch, IncompleteSet
 from .fields import REAL, complex_to_json
 from .geometry import PLANE_COORD_INDICES, Chart, conic_coeffs_transition, insert_one
 from .gw import GwForm, trace_form
-from .section import (
-    _chart_points,
-    _gradient,
-    _jacobian,
-    _plane_and_conic,
-    _plane_columns,
-    _section,
-    chart_tensor,
-    orientation_sign,
-)
+from .section import _plane_and_conic, chart_tensor, evaluate, orientation_sign
 
 _ACTIVE, _REACHED, _FAILED = 0, 1, 2
 _STATUS_NAMES = {_REACHED: "converged", _FAILED: "failed"}
@@ -139,10 +130,7 @@ class NumericChartSystem:
 
     def eval(self, x, jac: bool = False, raw: bool = False):
         """Section values (N,8) and optionally the Jacobian (N,8 eq,8 var)."""
-        zm = self.z_raw if raw else self.z_norm
-        z, c, free = _chart_points(zm, np.asarray(x), self.chart.j)
-        phi, mon = _section(z, c)
-        return phi, _jacobian(_plane_columns(zm, z, c), mon, free) if jac else None
+        return evaluate(self.z_raw if raw else self.z_norm, np.asarray(x), self.chart.j, jac)[:2]
 
     def residual(self, x) -> np.ndarray:
         """The max-norm of the scaled section at the points x (N, 8)."""
@@ -166,7 +154,8 @@ class ParameterHomotopy:
     tensor is then quadratic in t, z(t) = Z0 + t Z1 + t^2 Z2, which gives
     H_t exactly.  The tensors are kept for every plane chart, so each point
     is evaluated in its own chart (i, j): `at` forms a point's z(t) and
-    z'(t) once per time, and `eval` evaluates at any x against them.
+    z'(t) once per time, and `section.evaluate` evaluates at any x against
+    them.
     """
 
     def __init__(self, start, end, gamma: complex):
@@ -185,18 +174,6 @@ class ParameterHomotopy:
         z0, z1, z2 = (z[planes] for z in self.coef)
         tt = t[:, None, None, None]
         return z0 + tt * (z1 + tt * z2), z1 + 2 * tt * z2
-
-    @staticmethod
-    def eval(x, conics, z, dz=None):
-        """H (N,8), H_x (N,8,8) and, given z'(t) as dz, H_t (N,8) at points
-        x (N,8) in conic charts conics (N,), against their z(t) from `at`."""
-        abar, c, free = _plane_and_conic(x, conics)
-        zx = np.einsum("Nnrc,Nc->Nnr", z, abar)
-        h, mon = _section(zx, c)
-        grad = _gradient(zx, c)
-        ja = np.einsum("Nnr,Nnrl->Nnl", grad, z[..., 1:4])
-        ht = None if dz is None else np.einsum("Nnr,Nnr->Nn", grad, np.einsum("Nnrc,Nc->Nnr", dz, abar))
-        return h, _jacobian(ja, mon, free), ht
 
 
 @dataclass
@@ -342,7 +319,7 @@ def _track_block(hom: ParameterHomotopy, starts, charts):
 
     def tangent(idx, xs, z, dz):
         rows[idx] += 1
-        _, hx, ht = hom.eval(xs, charts[idx, 1], z, dz)
+        _, hx, ht = evaluate(z, xs, charts[idx, 1], True, dz)
         return _batch_solve(hx, ht)
 
     while True:
@@ -376,7 +353,7 @@ def _track_block(hom: ParameterHomotopy, starts, charts):
         live = np.arange(idx.size)
         for _ in range(_CORRECTOR_ITERS):
             rows[idx[live]] += 1
-            h, hx, ht = hom.eval(xp[live], cs[live, 1], z, dz)
+            h, hx, ht = evaluate(z, xp[live], cs[live, 1], True, dz)
             step = _batch_solve(hx, np.stack([h, ht], axis=-1))
             xp[live] -= step[..., 0]
             move = np.max(np.abs(step[..., 0]), axis=1)

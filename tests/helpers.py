@@ -25,6 +25,7 @@ from conics92.linalg import det
 from conics92.section import (
     SectionSystem,
     eval_section,
+    evaluate,
     jacobian,
     monomial_vector,
     orientation_sign,
@@ -401,7 +402,8 @@ def reference_track_block(hom, starts, charts):
     status = np.full(n, solver._ACTIVE, dtype=int)
 
     def h_eval(xs, ts, cs):
-        return hom.eval(xs, cs[:, 1], *hom.at(ts, cs[:, 0]))
+        z, dz = hom.at(ts, cs[:, 0])
+        return evaluate(z, xs, cs[:, 1], True, dz)
 
     def h_tangent(xs, ts, cs):
         _, hx, ht = h_eval(xs, ts, cs)

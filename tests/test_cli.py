@@ -96,14 +96,37 @@ def _top_level_list():
     return gen_planted_instance(42, ensure_prime=5).to_json()["lines"]
 
 
+def _numeric_field():
+    return dict(gen_planted_instance(42, ensure_prime=5).to_json(), field=5)
+
+
+def _null_field():
+    return dict(gen_planted_instance(42, ensure_prime=5).to_json(), field=None)
+
+
+def _list_meta():
+    return dict(gen_planted_instance(42, ensure_prime=5).to_json(), meta=[1, 2])
+
+
 @pytest.mark.parametrize(
     "malformed",
-    [_seven_lines, _floats_over_f5, _line_without_s, _no_lines, _null_coordinate, _top_level_list],
+    [
+        _seven_lines,
+        _floats_over_f5,
+        _line_without_s,
+        _no_lines,
+        _null_coordinate,
+        _top_level_list,
+        _numeric_field,
+        _null_field,
+        _list_meta,
+    ],
 )
 def test_bruteforce_rejects_a_malformed_instance_file(malformed, tmp_path, capsys):
     # a clear error, where 7 lines over Q raised IndexError, floats under
-    # the tag F5 AttributeError, a missing key KeyError and a null
-    # coordinate or a top-level list TypeError
+    # the tag F5 AttributeError, a missing key KeyError, a null
+    # coordinate, a top-level list or a non-string field TypeError and a
+    # non-object meta AttributeError
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(malformed()))
     assert cli_main(["bruteforce", "--p", "5", "--lines", str(path)]) == 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conics92.errors import FieldMismatch
+from conics92.errors import FieldMismatch, ZeroElement
 from conics92.fields import PrimeField, QuadExtField, square_class
 from conics92.gw import (
     EQUAL,
@@ -253,6 +253,14 @@ def test_trace_form_matches_the_gram_determinant_over_fp2(p):
         inv = invariants(trace_form(a))
         assert trace_form(a).field == f"F{p}" and inv["rank"] == 2
         assert inv["discriminant"] == square_class(det(gram))
+
+
+@pytest.mark.parametrize(
+    "zero", [0j, 0.0, Fraction(0), PrimeField(5)(0), QuadExtField(3)(0, 0)], ids=repr
+)
+def test_trace_form_of_zero_raises_zero_element(zero):
+    with pytest.raises(ZeroElement):
+        trace_form(zero)
 
 
 def test_form_serialization():

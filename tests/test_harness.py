@@ -374,6 +374,24 @@ def test_verify_report(instances, solutions):
     }
 
 
+def test_report_to_json_computes_the_invariants_once(monkeypatch):
+    from conics92 import harness
+    from conics92.gw import GwForm, invariants
+
+    calls = []
+
+    def counted(form):
+        calls.append(form)
+        return invariants(form)
+
+    monkeypatch.setattr(harness, "invariants", counted)
+    form = 45 * GwForm.hyperbolic("R") + GwForm.unit(1.0) + GwForm.unit(1.0)
+    report = harness.VerificationReport(92, 2, 2, 0, form, "not_equal", [], {})
+    data = report.to_json()
+    assert len(calls) == 1
+    assert (data["rank"], data["signature"]) == (92, 2)
+
+
 def test_verify_seed46(instances):
     # its two closest zeros are real, 5.1e-5 apart, of opposite signs
     from conics92.harness import verify

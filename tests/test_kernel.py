@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conics92.fields import PrimeField
 from conics92.geometry import Chart, ChartPoint, Line3
-from conics92.section import SectionSystem, eval_section, jacobian
+from conics92.section import SectionSystem, chart_tensor, eval_section, evaluate, jacobian
 from conics92.solver import NumericChartSystem
 
 from helpers import oracle_jacobian_mod_p
@@ -63,3 +63,21 @@ def test_prime_field_jacobian_matches_expanded_polynomials(p, vectors, chart, co
     point = ChartPoint(chart, tuple(map(fp, coords[:3])), tuple(map(fp, coords[3:])))
     matrix = jacobian(SectionSystem(chart, lines), point).matrix
     assert [[v.value for v in row] for row in matrix] == oracle_jacobian_mod_p(lines, point, p)
+
+
+def test_a_shared_tensor_evaluates_as_one_tensor_per_point():
+    # one (8, 3, 4) chart tensor for every point gives the bits of that
+    # tensor repeated per point, with a conic chart per point
+    rng = np.random.default_rng(3)
+    p, s = rng.standard_normal((2, 8, 4))
+    x = rng.standard_normal((6, 8))
+    exact = np.vectorize(lambda v: Fraction(v).limit_denominator(50), otypes=[object])
+    cases = [(p, s, x), (p + 1j * s, s - 1j * p, x + 1j * x[::-1]), (exact(p), exact(s), exact(x))]
+    j = np.array([0, 5, 2, 3, 1, 4])
+    for p, s, x in cases:
+        z = chart_tensor(2, p, s)
+        shared = evaluate(z, x, j, jac=True)
+        per_point = evaluate(np.repeat(z[None], len(x), axis=0), x, j, jac=True)
+        for a, b in zip(shared[:2], per_point[:2]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()

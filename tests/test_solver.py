@@ -14,6 +14,7 @@ from conics92 import solver
 from conics92.errors import CountMismatch, IncompleteSet
 from conics92.geometry import Chart, Line3, conic_coeffs_transition
 from conics92.gw import EQUAL, GwForm, gw_equal, invariants
+from conics92.section import evaluate
 from conics92.solver import (
     ConicSolution,
     ParameterHomotopy,
@@ -403,10 +404,11 @@ def test_homotopy_derivatives_match_finite_differences():
     planes, conics = charts.T
 
     def h(x, t):
-        return hom.eval(x, conics, *hom.at(t, planes))
+        z, dz = hom.at(t, planes)
+        return evaluate(z, x, conics, True, dz)
 
     _, hx, ht = h(x, t)
-    assert hom.eval(x, conics, hom.at(t, planes)[0])[2] is None  # H_t only on request
+    assert evaluate(hom.at(t, planes)[0], x, conics, True)[2] is None  # H_t only on request
     eps = 1e-6
     dt = (h(x, t + eps)[0] - h(x, t - eps)[0]) / (2 * eps)
     assert np.allclose(ht, dt, rtol=1e-7, atol=1e-8)
